@@ -290,7 +290,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	what := fs.String("what", "capacity", "sweep: capacity, beta, or rho")
 	seed := fs.Uint64("seed", 1, "trace seed")
-	batchN := fs.Int("batch", 1, "lane width for batched execution: >1 runs the sweep's policy rows in lockstep through the batched simulation core, N lanes per trace walk")
 	remote := fs.String("remote", "", "dispatcher URL; submit scenario-file operands as a distributed sweep instead of the local ablation")
 	name := fs.String("name", "", "sweep name (with -remote)")
 	rows := fs.String("rows", "", "write result rows (NDJSON) to this file, or - for stdout (with -remote)")
@@ -312,27 +311,15 @@ func cmdSweep(ctx context.Context, args []string) error {
 	switch *what {
 	case "capacity":
 		xs := []float64{1, 2, 3, 6, 12, 24, 60}
-		if *batchN > 1 {
-			pts, err = exp.CapacitySweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.CapacitySweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.CapacitySweepContext(ctx, *seed, xs)
 		xName = "Cmax (A-s)"
 	case "beta":
 		xs := []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30}
-		if *batchN > 1 {
-			pts, err = exp.BetaSweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.BetaSweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.BetaSweepContext(ctx, *seed, xs)
 		xName = "beta"
 	case "rho":
 		xs := []float64{0, 0.25, 0.5, 0.75, 1}
-		if *batchN > 1 {
-			pts, err = exp.RhoSweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.RhoSweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.RhoSweepContext(ctx, *seed, xs)
 		xName = "rho"
 	default:
 		return fmt.Errorf("unknown sweep %q", *what)
@@ -789,7 +776,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 	pf := addPoolFlags(fs, "scenario").addJournal(fs, "scenario")
 	mf := addMetricsFlag(fs)
 	rows := fs.String("rows", "", "write result rows (NDJSON, one runreport body per scenario in operand order) to this file, or - for stdout; byte-identical to the same sweep run remotely")
-	batchN := fs.Int("batch", 1, "lane width for batched execution: scenarios sharing a trace run in lockstep through the batched simulation core, up to N lanes per trace walk (1 = scalar path)")
+	batchN := fs.Int("batch", 1, "lane width for batched execution: scenarios sharing a trace run as lanes of one batched runner, up to N lanes per batch, and identical scenarios simulate once (1 = scalar path)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -937,10 +924,10 @@ type laneRows struct {
 }
 
 // runBatchGrouped is the -batch N execution path of cmdBatch: scenarios
-// whose normalized trace specs agree share one trace walk, in chunks of
-// at most width lanes per sim.BatchRunner call. Each chunk is one pool
-// task, so -workers/-timeout/-retries/-journal apply per chunk. Rows,
-// their names, and their cache keys are identical to the scalar path —
+// whose normalized trace specs agree run as lanes of one sim.BatchRunner,
+// in chunks of at most width lanes. Each chunk is one pool task, so
+// -workers/-timeout/-retries/-journal apply per chunk. Rows, their
+// names, and their cache keys are identical to the scalar path —
 // `fcdpm batch -rows` output is byte-identical at any lane width.
 func runBatchGrouped(ctx context.Context, scens []*config.Scenario, paths []string,
 	width int, rows, engine string, mf *metricsFlag, popts runner.Options) error {

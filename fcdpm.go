@@ -157,11 +157,12 @@ type (
 	// aliases the batch runner's internal buffers (same caution as
 	// SimRunner results).
 	LaneResult = sim.LaneResult
-	// BatchRunner executes K scenario variants in lockstep over one
-	// trace walk, collapsing identical-dynamics lanes to a single
-	// simulation while guaranteeing every lane's Result is bit-identical
-	// to a sequential run. Allocate once with NewBatchRunner; Run is
-	// allocation-free at steady state on fault-free lanes.
+	// BatchRunner executes K scenario variants over one trace,
+	// collapsing identical-dynamics lanes to a single simulation and
+	// running the distinct ones one after another, so every lane's Result
+	// is bit-identical to a sequential run. Allocate once with
+	// NewBatchRunner; Run is allocation-free at steady state on
+	// fault-free lanes.
 	BatchRunner = sim.BatchRunner
 	// BatchKeyer is the optional grouping identity a policy, predictor,
 	// or storage element can expose to let BatchRunner group lanes.
@@ -389,8 +390,8 @@ func RunContext(ctx context.Context, cfg SimConfig) (*Result, error) {
 func NewSimRunner(cfg SimConfig) (*SimRunner, error) { return sim.NewRunner(cfg) }
 
 // NewBatchRunner validates the lanes (which must share one trace), groups
-// identical-dynamics lanes, and allocates a reusable batched arena. See
-// the BatchRunner type note for the aliasing caution.
+// identical-dynamics lanes, and allocates one reusable run state per
+// group. See the BatchRunner type note for the aliasing caution.
 func NewBatchRunner(lanes []SimLane) (*BatchRunner, error) { return sim.NewBatchRunner(lanes) }
 
 // Fault-injection types (the robustness subsystem).

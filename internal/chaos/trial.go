@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"fcdpm/internal/config"
@@ -101,6 +102,8 @@ type dispatcherProc struct {
 	hs          *http.Server
 	stopReclaim context.CancelFunc
 	addr        string
+	// wg joins the serve loop and the reclamation ticker.
+	wg sync.WaitGroup
 }
 
 // startDispatcher builds a dispatcher on opts and serves it at addr
@@ -126,10 +129,15 @@ func startDispatcher(addr string, opts dispatch.Options) (*dispatcherProc, error
 	}
 	p := &dispatcherProc{d: d, addr: ln.Addr().String()}
 	p.hs = &http.Server{Handler: d.Handler()}
-	go p.hs.Serve(ln)
 	rctx, cancel := context.WithCancel(context.Background())
 	p.stopReclaim = cancel
+	p.wg.Add(2)
 	go func() {
+		defer p.wg.Done()
+		p.hs.Serve(ln)
+	}()
+	go func() {
+		defer p.wg.Done()
 		t := time.NewTicker(trialLeaseTTL / 3)
 		defer t.Stop()
 		for {
@@ -145,10 +153,12 @@ func startDispatcher(addr string, opts dispatch.Options) (*dispatcherProc, error
 }
 
 // hardStop kills the dispatcher the way a crash would: the HTTP server
-// closes without draining and the WAL handle is simply abandoned.
+// closes without draining and the WAL handle is simply abandoned. It
+// returns once the serve loop and the reclamation ticker have exited.
 func (p *dispatcherProc) hardStop() {
 	p.stopReclaim()
 	p.hs.Close()
+	p.wg.Wait()
 }
 
 // RunTrial runs one full chaos trial: an in-process dispatcher and two
@@ -287,16 +297,23 @@ func RunTrial(ctx context.Context, opts TrialOptions) TrialResult {
 		restartDone <- nil
 	}()
 
-	// End the fault phase a seeded while after the restart, then let the
-	// fabric heal.
+	// End the fault phase a seeded while after the restart, or as soon as
+	// the sweep resolves, then let the fabric heal. The trial joins this
+	// goroutine before checking convergence, so it never outlives
+	// RunTrial.
 	faultsFor := 1300*time.Millisecond + time.Duration(plan.fraction("trial", "faults", 0)*float64(700*time.Millisecond))
+	faultStart := time.Now()
+	endFaults := make(chan struct{})
+	faultsOver := make(chan struct{})
 	go func() {
+		defer close(faultsOver)
 		select {
 		case <-ctx.Done():
+		case <-endFaults:
 		case <-time.After(faultsFor):
 		}
 		plan.Stop()
-		logf("chaos: fault phase over after %s", faultsFor.Round(time.Millisecond))
+		logf("chaos: fault phase over after %s", time.Since(faultStart).Round(time.Millisecond))
 	}()
 
 	// Submit through the chaos transport and wait for resolution. A
@@ -327,7 +344,8 @@ func RunTrial(ctx context.Context, opts TrialOptions) TrialResult {
 	if submitErr != nil {
 		res.Violations = append(res.Violations, "sweep: "+submitErr.Error())
 	}
-	plan.Stop() // in case the sweep resolved before the fault window closed
+	close(endFaults) // in case the sweep resolved before the fault window closed
+	<-faultsOver
 
 	// Convergence and invariant checks.
 	res.Violations = append(res.Violations, Check(ctx, checkEnv{

@@ -148,13 +148,12 @@ func (sc *Scenario) CompareContext(ctx context.Context, policies []sim.Policy) (
 			results[i] = res
 		}
 	} else {
-		// The rows share one trace, so they batch into a single
-		// BatchRunner walk: the per-slot trace decode is shared where the
-		// rows' predictors agree and the fuel-map memo is shared across
-		// all of them. A cloneable timeout adapter gives every row its
-		// own adaptation, started from the same learned state. Lane order
-		// is submission order, keeping the table rows (and the Conv-DPM
-		// normalization base) deterministic.
+		// The rows share one trace, so they run as lanes of one
+		// BatchRunner, which simulates rows with identical dynamics once.
+		// A cloneable timeout adapter gives every row its own adaptation,
+		// started from the same learned state. Lane order is submission
+		// order, keeping the table rows (and the Conv-DPM normalization
+		// base) deterministic.
 		lanes := make([]sim.Lane, len(policies))
 		for i, p := range policies {
 			cfg := sc.simConfig(p)

@@ -29,8 +29,8 @@ type MultiStackConfig struct {
 	Seed     uint64
 	Duration float64
 	// Batch bounds the batched-runner lane width (default 16). Results
-	// are identical at every width; the knob only trades memory for
-	// trace-walk sharing.
+	// are identical at every width; the knob only bounds how many lanes
+	// one BatchRunner holds at a time.
 	Batch int
 }
 

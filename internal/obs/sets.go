@@ -49,15 +49,15 @@ func (m *SimMetrics) RecordRun(slots int, fuel float64, memoHits, memoMisses uin
 var LaneBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // BatchMetrics instruments the batched simulation core (sim.BatchRunner):
-// how wide the batches are and how much per-lane planning the lane
-// grouping amortized away.
+// how wide the batches are and how much simulation the collapse of
+// identical lanes saved.
 type BatchMetrics struct {
 	// Batches counts completed batch runs; Lanes is the distribution of
 	// their lane widths.
 	Batches *Counter
 	Lanes   *Histogram
-	// PlanGroupHits counts slot executions a follower lane inherited from
-	// its plan group's leader instead of planning and integrating itself —
+	// PlanGroupHits counts slot executions a duplicate lane inherited
+	// from the one simulation of its run group instead of running itself —
 	// the work the batch core never had to do.
 	PlanGroupHits *Counter
 }
@@ -67,7 +67,7 @@ func NewBatchMetrics(r *Registry) *BatchMetrics {
 	return &BatchMetrics{
 		Batches:       r.Counter("fcdpm_sim_batches_total", "Completed BatchRunner runs."),
 		Lanes:         r.Histogram("fcdpm_sim_batch_lanes", "Lane width per completed batch run.", LaneBuckets),
-		PlanGroupHits: r.Counter("fcdpm_sim_batch_plan_group_hits_total", "Slot executions follower lanes inherited from their plan-group leader."),
+		PlanGroupHits: r.Counter("fcdpm_sim_batch_plan_group_hits_total", "Slot executions duplicate lanes inherited from their run group's single simulation."),
 	}
 }
 

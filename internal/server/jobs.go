@@ -79,8 +79,10 @@ func (j *job) setReport(b []byte) {
 	j.mu.Unlock()
 }
 
-// finish resolves the job exactly once: records the outcome, appends the
-// terminal event, closes the stream and the done channel.
+// finish resolves the job exactly once: records the outcome, closes the
+// done channel, then appends the terminal event and closes the stream —
+// in that order, so a client that has read the resolved event always
+// gets the final document from GET.
 func (j *job) finish(status jobStatus, body []byte, errMsg string, httpCode int, cached bool) {
 	j.mu.Lock()
 	if j.finished {
@@ -93,12 +95,12 @@ func (j *job) finish(status jobStatus, body []byte, errMsg string, httpCode int,
 	j.errMsg = errMsg
 	j.httpCode = httpCode
 	j.mu.Unlock()
+	close(j.done)
 	j.events.append(Event{
 		Kind: "resolved", Job: j.id, Status: string(status),
 		Cached: cached, Detail: errMsg,
 	})
 	j.events.close()
-	close(j.done)
 }
 
 // outcome snapshots the resolved state for response writing.
@@ -288,12 +290,11 @@ func (s *Server) runTask(j *job, ref taskRef, spec *config.Scenario, key, name s
 
 // batchTask builds the pool task body for one batched sweep chunk: all
 // cells share one trace, so they execute as lanes of a single
-// sim.BatchRunner walk — shared decode, shared fuel-map memo, amortized
-// planning — with each lane keyed by its cell's cache key so identical
-// cells collapse onto one executing lane. Per cell the body mirrors the
-// scalar runTask exactly (render, cache.Put, sim-event replay), and a
-// lane failure resolves only its own cell: the rest of the chunk still
-// lands. Results are byte-identical to the scalar path by the
+// sim.BatchRunner, with each lane keyed by its cell's cache key so
+// identical cells collapse onto one executing lane. Per cell the body
+// mirrors the scalar runTask exactly (render, cache.Put, sim-event
+// replay), and a lane failure resolves only its own cell: the rest of
+// the chunk still lands. Results are byte-identical to the scalar path by the
 // BatchRunner oracle guarantee.
 func (s *Server) batchTask(j *job, ref taskRef, specs []*config.Scenario, keys []string) func(context.Context) (struct{}, error) {
 	br := ref.batch

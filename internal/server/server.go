@@ -334,7 +334,7 @@ func (s *Server) submitRun(j *job, ref taskRef, spec *config.Scenario, key, name
 const maxBatchLanes = 64
 
 // batchChunks partitions cache-miss sweep cells into batch chunks:
-// cells whose normalized trace specs agree share one BatchRunner walk
+// cells whose normalized trace specs agree share one BatchRunner
 // (value-identical traces batch regardless of spelling), chunked to
 // maxBatchLanes. A cell whose spec fails to normalize falls back to a
 // scalar chunk of its own. First-seen order is preserved both across
@@ -501,8 +501,9 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJobGet reports a job: the stable report body once done, a
-// status document while pending, the failure otherwise.
+// handleJobGet reports a job: the stable report body once done, a 202
+// status document while pending, the failure otherwise. A pending
+// sweep's document carries the same cells array as the final report.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.lookup(r.PathValue("id"))
 	if !ok {
@@ -516,10 +517,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		if j.kind == jobSweep {
 			j.mu.Lock()
 			st["remaining"] = j.remaining
-			st["cells"] = len(j.cells)
+			st["cells"] = append([]cellState(nil), j.cells...)
 			j.mu.Unlock()
 		}
-		writeJSON(w, 200, st)
+		writeJSON(w, 202, st)
 		return
 	}
 	if j.kind == jobRun && j.key != "" {
@@ -584,10 +585,10 @@ type statsPayload struct {
 }
 
 // batchStatsDoc snapshots the batched-execution instruments: how many
-// BatchRunner walks served sweep chunks, how wide they were, and how
-// many per-slot plan+integrate executions the lane grouping amortized
-// away (the fcdpm_sim_batch_lanes / _plan_group_hits series /metrics
-// exports).
+// BatchRunner runs served sweep chunks, how wide they were, and how
+// many slot executions duplicate lanes inherited from their run group
+// instead of simulating (the fcdpm_sim_batch_lanes / _plan_group_hits
+// series /metrics exports).
 type batchStatsDoc struct {
 	Batches       int64   `json:"batches"`
 	LanesTotal    int64   `json:"lanesTotal"`

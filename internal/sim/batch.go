@@ -2,13 +2,12 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"time"
 
-	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/obs"
 	"fcdpm/internal/workload"
 )
@@ -54,66 +53,46 @@ type LaneResult struct {
 	Err error
 }
 
-// batchLane is the per-lane bookkeeping: which run group executes it and
-// how much of the group's recording it keeps.
+// batchLane is the per-lane bookkeeping: how much of its group's
+// recording the lane keeps, and where its projection lives.
 type batchLane struct {
 	res        *Result
-	group      int
 	recProfile bool
 	recSlots   bool
 	metrics    *obs.SimMetrics
 }
 
-// batchGroup is one executing simulation: the leader state plus every
-// lane it stands in for. Groups are formed at construction from the
-// lanes' dynamics fingerprints and never split mid-run — a lane that can
-// diverge from its siblings (a timeout adapter, an unkeyed component)
-// gets a group of its own up front and follows the plain scalar path.
+// batchGroup is one executing simulation: the state built from the first
+// member's configuration plus every lane it stands in for.
 type batchGroup struct {
 	st      *state
 	members []int // lane indices, in submission order
-	err     error
 }
 
-// batchDecode is one shared trace decode: the groups whose predictors,
-// device model, and DPM mode agree, so each slot is expanded once and
-// handed to all of them before advancing.
-type batchDecode struct {
-	groups []int // group indices, in construction order
-	dec    slotDecode
-}
-
-// BatchRunner executes K scenario variants in lockstep over one trace
-// walk. Lanes whose dynamics fingerprints agree form a run group: the
-// group leader simulates once — at the union of the members' record
+// BatchRunner executes K scenario variants over one trace. Lanes whose
+// dynamics fingerprints agree (or whose Lane.Keys are equal) form a run
+// group: the group simulates once — at the union of the members' record
 // levels — and every member receives a projected copy of the result, so
 // N identical-dynamics variants (ablation siblings differing only in
 // recording, coalesced server requests, devicesim fleets) cost one
-// simulation instead of N. Groups whose trace-side inputs also agree
-// share the per-slot decode (predictions, sleep decision, segment
-// expansion). Lanes that can diverge — per-lane timeout adapters, fault
-// schedules with distinct identities, components without a BatchKey —
-// are their own group from the start and execute on the existing scalar
-// path, so batching never changes a single bit of any lane's Result
-// relative to a sequential Runner run of the same configuration.
+// simulation instead of N. Distinct groups run one after another on the
+// scalar path, in first-member order, so every lane's Result is
+// byte-identical to a sequential Runner run of the same configuration.
 //
 // Like Runner, a BatchRunner is reusable and not safe for concurrent
 // use; steady-state Run calls on fault-free lanes allocate nothing.
 type BatchRunner struct {
 	// Metrics, when non-nil, receives one RecordBatch per completed run:
 	// the lane width and how many slot executions follower lanes
-	// inherited from their group leaders. Per-lane Config.Metrics sinks
-	// still receive their RecordRun as if the lanes had run sequentially
-	// (memo deltas are batch-wide and folded into the first instrumented
-	// lane; wall time is the batch total split evenly across lanes).
+	// inherited from their group. Per-lane Config.Metrics sinks still
+	// receive their RecordRun as if the lanes had run sequentially (a
+	// group's memo deltas are folded into its first instrumented lane;
+	// its wall time is split evenly across its members).
 	Metrics *obs.BatchMetrics
 
 	lanes   []batchLane
 	groups  []batchGroup
-	decodes []batchDecode
-	trace   *workload.Trace
 	results []LaneResult
-	memos   []*fuelcell.Memo
 }
 
 // NewBatchRunner validates the lanes, groups them, and builds the
@@ -137,12 +116,11 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 
 	b := &BatchRunner{
 		lanes:   make([]batchLane, len(lanes)),
-		trace:   trace,
 		results: make([]LaneResult, len(lanes)),
 	}
 
 	// Group lanes by dynamics fingerprint. An empty fingerprint means
-	// "ungroupable": the lane gets a singleton group and runs scalar.
+	// "ungroupable": the lane gets a singleton group.
 	groupOf := make(map[string]int, len(lanes))
 	for i := range lanes {
 		cfg := &lanes[i].Cfg
@@ -150,15 +128,10 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		if key != "" {
 			key = "lane-key:" + key
 		} else {
-			key, _ = dynamicsKey(cfg)
+			key = dynamicsKey(cfg)
 		}
-		gi := -1
-		if key != "" {
-			if prev, ok := groupOf[key]; ok {
-				gi = prev
-			}
-		}
-		if gi < 0 {
+		gi, ok := groupOf[key]
+		if !ok {
 			gi = len(b.groups)
 			b.groups = append(b.groups, batchGroup{st: &state{}})
 			b.groups[gi].st.init(*cfg)
@@ -172,214 +145,74 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		recProfile, recSlots := resolveRecord(cfg)
 		b.lanes[i] = batchLane{
 			res:        &Result{FuelByKind: make(map[SegmentKind]float64, numSegmentKinds)},
-			group:      gi,
 			recProfile: recProfile,
 			recSlots:   recSlots,
 			metrics:    cfg.Metrics,
 		}
-		// The leader records the union of its members' levels; each
+		// The group records the union of its members' levels; each
 		// member's projection keeps only what its own level asked for.
 		g.st.recProfile = g.st.recProfile || recProfile
 		g.st.recSlots = g.st.recSlots || recSlots
 	}
-
-	// Lanes of different groups run interleaved in lockstep, so a
-	// mutable collaborator shared across two executing configurations
-	// would corrupt both. Within one group only the leader's objects
-	// ever execute, so sharing with (or among) followers is harmless.
-	seen := make(map[any]int)
-	for gi := range b.groups {
-		cfg := &b.groups[gi].st.cfg
-		if err := checkShared(seen, gi, cfg.Policy, "policy"); err != nil {
-			return nil, err
-		}
-		for _, p := range cfg.Fallbacks {
-			if err := checkShared(seen, gi, p, "fallback policy"); err != nil {
-				return nil, err
-			}
-		}
-		for _, pr := range []any{cfg.IdlePredictor, cfg.ActivePredictor, cfg.CurrentPredictor} {
-			if err := checkShared(seen, gi, pr, "predictor"); err != nil {
-				return nil, err
-			}
-		}
-		if err := checkShared(seen, gi, cfg.TimeoutAdapter, "timeout adapter"); err != nil {
-			return nil, err
-		}
-	}
-
-	// Share one fuel-map memo per fuel-cell system across groups: the
-	// memo is exact-bit-keyed, so a hit returns precisely what a miss
-	// would compute and sharing cannot perturb any lane.
-	memoBySys := make(map[*fuelcell.System]*fuelcell.Memo)
-	for gi := range b.groups {
-		st := b.groups[gi].st
-		if m, ok := memoBySys[st.cfg.Sys]; ok {
-			st.memo = m
-		} else {
-			memoBySys[st.cfg.Sys] = st.memo
-			b.memos = append(b.memos, st.memo)
-		}
-	}
-
-	// Form decode groups among the run-group leaders.
-	decodeOf := make(map[string]int)
-	for gi := range b.groups {
-		key, ok := decodeKey(&b.groups[gi].st.cfg)
-		di := -1
-		if ok {
-			if prev, found := decodeOf[key]; found {
-				di = prev
-			}
-		}
-		if di < 0 {
-			di = len(b.decodes)
-			b.decodes = append(b.decodes, batchDecode{})
-			if ok {
-				decodeOf[key] = di
-			}
-		}
-		b.decodes[di].groups = append(b.decodes[di].groups, gi)
-	}
 	return b, nil
 }
-
-// Lanes returns the batch width.
-func (b *BatchRunner) Lanes() int { return len(b.lanes) }
 
 // Groups returns how many distinct simulations the batch executes — the
 // lane count minus the duplicates the grouping collapsed.
 func (b *BatchRunner) Groups() int { return len(b.groups) }
-
-// GroupOf returns the run-group index executing lane i, for tests and
-// consumers that want to inspect the grouping.
-func (b *BatchRunner) GroupOf(i int) int { return b.lanes[i].group }
 
 // Run executes every lane over the shared trace.
 func (b *BatchRunner) Run() ([]LaneResult, error) {
 	return b.RunContext(context.Background())
 }
 
-// RunContext is Run under a context. Cancellation stops the walk between
-// slots: every unfinished lane gets a *CanceledError and the context
-// error is returned as the batch error. Per-lane simulation failures do
-// not abort the batch — the failing group drops out of lockstep and its
-// lanes carry the error while the rest complete.
+// RunContext is Run under a context. Cancellation stops the running group
+// between slots: every unfinished lane gets a *CanceledError and the
+// context error is returned as the batch error. Per-lane simulation
+// failures do not abort the batch — the failing group's lanes carry the
+// error while the other groups complete.
 //
 // The returned slice and the *Results inside it alias the BatchRunner's
 // internal buffers: they are valid until the next Run call.
 func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
-	start := time.Now()
-	memoHits0, memoMisses0 := b.memoStats()
-	for gi := range b.groups {
-		g := &b.groups[gi]
-		g.err = nil
-		g.st.reset()
-	}
-
-	var planGroupHits uint64
-	live := len(b.groups)
+	var followerSlots uint64
 	var batchErr error
-	for k, slot := range b.trace.Slots {
-		if live == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			for gi := range b.groups {
-				g := &b.groups[gi]
-				if g.err == nil {
-					g.err = &CanceledError{T: g.st.t, Slot: k, Err: err}
-				}
-			}
-			batchErr = err
-			break
-		}
-		for di := range b.decodes {
-			d := &b.decodes[di]
-			decoded := false
-			for _, gi := range d.groups {
-				g := &b.groups[gi]
-				if g.err != nil {
-					continue
-				}
-				if !decoded {
-					// The first live group expands the slot; all lanes
-					// of a decode group hold identical predictor state,
-					// so the producer is interchangeable.
-					g.st.decodeSlot(k, slot, &d.dec)
-					decoded = true
-				}
-				if err := g.st.runDecoded(k, slot, &d.dec); err != nil {
-					g.err = err
-					live--
-					continue
-				}
-				planGroupHits += uint64(len(g.members) - 1)
-			}
-		}
-	}
-
 	for gi := range b.groups {
 		g := &b.groups[gi]
-		if g.err == nil {
-			g.st.finalize()
+		start := time.Now()
+		hits0, misses0 := g.st.memo.Stats()
+		g.st.reset()
+		_, err := g.st.run(ctx)
+		if err != nil { // errors.As's target escapes: keep it off the success path
+			var ce *CanceledError
+			if errors.As(err, &ce) {
+				batchErr = ce.Err
+			}
 		}
-	}
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		g := &b.groups[ln.group]
-		if g.err != nil {
-			b.results[i] = LaneResult{Err: g.err}
-			continue
-		}
-		projectResult(ln.res, g.st.res, ln.recProfile, ln.recSlots)
-		b.results[i] = LaneResult{Res: ln.res}
-	}
+		followerSlots += uint64(len(g.members)-1) * uint64(g.st.res.Slots)
 
-	// Per-lane metrics, as if the lanes had run sequentially: slots and
-	// fuel are exact per lane; the shared memos make hit/miss deltas a
-	// batch-wide quantity, folded into the first instrumented lane; wall
-	// time is the batch total split evenly.
-	memoHits1, memoMisses1 := b.memoStats()
-	dh, dm := memoHits1-memoHits0, memoMisses1-memoMisses0
-	wall := time.Since(start) / time.Duration(len(b.lanes))
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		if ln.metrics == nil || b.results[i].Err != nil {
-			continue
+		hits1, misses1 := g.st.memo.Stats()
+		dh, dm := hits1-hits0, misses1-misses0
+		wall := time.Since(start) / time.Duration(len(g.members))
+		for _, i := range g.members {
+			ln := &b.lanes[i]
+			if err != nil {
+				b.results[i] = LaneResult{Err: err}
+				continue
+			}
+			projectResult(ln.res, g.st.res, ln.recProfile, ln.recSlots)
+			b.results[i] = LaneResult{Res: ln.res}
+			if ln.metrics != nil {
+				ln.metrics.RecordRun(ln.res.Slots, ln.res.Fuel, dh, dm, wall)
+				dh, dm = 0, 0
+			}
 		}
-		res := b.results[i].Res
-		ln.metrics.RecordRun(res.Slots, res.Fuel, dh, dm, wall)
-		dh, dm = 0, 0
 	}
-	b.Metrics.RecordBatch(len(b.lanes), planGroupHits)
+	b.Metrics.RecordBatch(len(b.lanes), followerSlots)
 	return b.results, batchErr
 }
 
-// memoStats sums hit/miss counters across the batch's distinct memos.
-func (b *BatchRunner) memoStats() (hits, misses uint64) {
-	for _, m := range b.memos {
-		h, ms := m.Stats()
-		hits += h
-		misses += ms
-	}
-	return hits, misses
-}
-
-// resolveRecord mirrors state.init's record-level resolution without
-// building a state.
-func resolveRecord(cfg *Config) (profile, slots bool) {
-	switch cfg.Record {
-	case RecordFuelOnly:
-		return false, false
-	case RecordFull:
-		return true, true
-	default:
-		return cfg.RecordProfile, cfg.RecordSlots
-	}
-}
-
-// projectResult copies a group leader's result into a lane's buffer,
+// projectResult copies a run group's result into a lane's buffer,
 // keeping only the history the lane's own record level asked for. The
 // copy reuses dst's backing storage, so steady-state batch runs allocate
 // nothing once the buffers have grown to size.
@@ -428,24 +261,6 @@ func sameTrace(a, b *workload.Trace) bool {
 	return true
 }
 
-// checkShared rejects a mutable collaborator appearing in two executing
-// configurations. Only pointer-typed components can alias shared state;
-// value-typed ones are copied into each config and cannot interfere.
-func checkShared(seen map[any]int, gi int, v any, what string) error {
-	if v == nil {
-		return nil
-	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return nil
-	}
-	if prev, dup := seen[v]; dup && prev != gi {
-		return fmt.Errorf("sim: batch lanes share one %s object (%T) across two executing groups; give each lane its own instance", what, v)
-	}
-	seen[v] = gi
-	return nil
-}
-
 // fpBits formats a float for a fingerprint: exact bits, so two lanes
 // group only when the values are identical, not merely close.
 func fpBits(v float64) uint64 { return math.Float64bits(v) }
@@ -467,38 +282,38 @@ func keyOf(v any) (string, bool) {
 // RecordProfile, RecordSlots, Metrics), since recording appends history
 // without feeding back into the simulation. Two lanes with equal keys
 // run bit-identical simulations; a lane whose components cannot be
-// keyed reports false and executes ungrouped. Fault schedules are
-// compared by identity (plus seed): conservative, but sound.
-func dynamicsKey(cfg *Config) (string, bool) {
+// keyed gets "" and executes ungrouped. Fault schedules are compared by
+// identity (plus seed): conservative, but sound.
+func dynamicsKey(cfg *Config) string {
 	if cfg.TimeoutAdapter != nil {
 		// A timeout adapter learns per lane; such lanes never group.
-		return "", false
+		return ""
 	}
 	pol, ok := keyOf(cfg.Policy)
 	if !ok {
-		return "", false
+		return ""
 	}
 	sto, ok := keyOf(cfg.Store)
 	if !ok {
-		return "", false
+		return ""
 	}
 	pi, ok := keyOf(cfg.IdlePredictor)
 	if !ok {
-		return "", false
+		return ""
 	}
 	pa, ok := keyOf(cfg.ActivePredictor)
 	if !ok {
-		return "", false
+		return ""
 	}
 	pc, ok := keyOf(cfg.CurrentPredictor)
 	if !ok {
-		return "", false
+		return ""
 	}
 	var fb strings.Builder
 	for _, p := range cfg.Fallbacks {
 		k, ok := keyOf(p)
 		if !ok {
-			return "", false
+			return ""
 		}
 		fb.WriteString(k)
 		fb.WriteByte(';')
@@ -514,32 +329,5 @@ func dynamicsKey(cfg *Config) (string, bool) {
 		cfg.Sys.BatchKey(), cfg.Dev, pol, sto, cfg.DPM, fpBits(cfg.Timeout), fpBits(cfg.SlewRate),
 		pi, pa, pc, faults,
 		cfg.Supervisor.Mode, fpBits(cfg.Supervisor.DeficitLimit), fpBits(cfg.Supervisor.Tolerance),
-		fb.String()), true
-}
-
-// decodeKey fingerprints the trace-side decode inputs: the device model,
-// the DPM mode and timeout, and the predictors. The storage and policy
-// are deliberately absent — the decode never reads them — which is what
-// lets a capacity or policy sweep expand each slot once for all its
-// lanes. Fault schedules perturb the observed slot values, and a timeout
-// adapter the per-slot dwell, so either one keeps a lane on its own
-// decode.
-func decodeKey(cfg *Config) (string, bool) {
-	if cfg.TimeoutAdapter != nil || cfg.Faults != nil {
-		return "", false
-	}
-	pi, ok := keyOf(cfg.IdlePredictor)
-	if !ok {
-		return "", false
-	}
-	pa, ok := keyOf(cfg.ActivePredictor)
-	if !ok {
-		return "", false
-	}
-	pc, ok := keyOf(cfg.CurrentPredictor)
-	if !ok {
-		return "", false
-	}
-	return fmt.Sprintf("dev=%p|dpm=%d|to=%x|pi=%s|pa=%s|pc=%s",
-		cfg.Dev, cfg.DPM, fpBits(cfg.Timeout), pi, pa, pc), true
+		fb.String())
 }

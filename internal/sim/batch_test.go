@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fcdpm/internal/device"
 	"fcdpm/internal/fault"
 	"fcdpm/internal/fcopt"
 	"fcdpm/internal/fuelcell"
+	"fcdpm/internal/obs"
 	"fcdpm/internal/policy"
 	"fcdpm/internal/predict"
 	"fcdpm/internal/sim"
@@ -232,12 +234,18 @@ func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 	if b.Groups() != 2 {
 		t.Fatalf("want 2 run groups, got %d", b.Groups())
 	}
-	if b.GroupOf(0) != b.GroupOf(1) || b.GroupOf(0) != b.GroupOf(2) {
-		t.Fatalf("identical-dynamics lanes split: groups %d/%d/%d",
-			b.GroupOf(0), b.GroupOf(1), b.GroupOf(2))
+	got, err := b.Run()
+	if err != nil {
+		t.Fatalf("batch run: %v", err)
 	}
-	if b.GroupOf(3) == b.GroupOf(0) {
-		t.Fatalf("different-capacity lane joined group %d", b.GroupOf(0))
+	for _, i := range []int{1, 2} {
+		if got[i].Res.Fuel != got[0].Res.Fuel || got[i].Res.FinalCharge != got[0].Res.FinalCharge {
+			t.Fatalf("identical-dynamics lane %d diverged from lane 0: fuel %v vs %v",
+				i, got[i].Res.Fuel, got[0].Res.Fuel)
+		}
+	}
+	if got[3].Res.FinalCharge == got[0].Res.FinalCharge {
+		t.Fatalf("different-capacity lane reproduced lane 0's final charge %v", got[0].Res.FinalCharge)
 	}
 }
 
@@ -269,22 +277,205 @@ func TestBatchRunnerLaneKeyGroups(t *testing.T) {
 	}
 }
 
-// TestBatchRunnerSharedCollaboratorRejected verifies one mutable policy
-// object appearing in two executing groups is a construction error, not
-// a silent corruption.
-func TestBatchRunnerSharedCollaboratorRejected(t *testing.T) {
+// unkeyedPredictor hides the inner predictor's BatchKey.
+type unkeyedPredictor struct{ predict.Predictor }
+
+// fixedAdapter is a TimeoutAdapter that always proposes the same dwell.
+type fixedAdapter struct{ dwell float64 }
+
+func (a *fixedAdapter) NextTimeout() float64 { return a.dwell }
+func (a *fixedAdapter) Observe(float64)      {}
+
+// TestBatchRunnerUngroupableLanes verifies the dynamics fingerprint
+// groups a pair of otherwise identical lanes only when every component
+// is keyable and the fault schedules agree in identity and seed; either
+// way each lane still matches its sequential run.
+func TestBatchRunnerUngroupableLanes(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
-	tr := faultTrace(40)
-	shared := policy.NewFCDPM(sys, dev)
-	lanes := []sim.Lane{
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
-			Store: storage.MustSuperCap(6, 3), Policy: shared}},
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
-			Store: storage.MustSuperCap(8, 4), Policy: shared}},
+	tr := faultTrace(60)
+	sched := &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.EfficiencyDegrade, Start: 50, Dur: 60, Magnitude: 0.3},
+	}}
+	base := func() sim.Config {
+		return sim.Config{Sys: sys, Dev: dev, Trace: tr,
+			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev)}
 	}
-	if _, err := sim.NewBatchRunner(lanes); err == nil {
-		t.Fatal("want shared-collaborator error, got nil")
+	cases := []struct {
+		name       string
+		mod        func(cfg *sim.Config, lane int)
+		wantGroups int
+	}{
+		{"keyable", func(*sim.Config, int) {}, 1},
+		{"timeout-adapter", func(cfg *sim.Config, _ int) {
+			cfg.DPM = sim.DPMTimeout
+			cfg.TimeoutAdapter = &fixedAdapter{dwell: 1.5}
+		}, 2},
+		{"unkeyed-predictor", func(cfg *sim.Config, _ int) {
+			cfg.IdlePredictor = unkeyedPredictor{predict.MustExpAverage(0.5, 4)}
+		}, 2},
+		{"unkeyed-fallback", func(cfg *sim.Config, _ int) {
+			cfg.Fallbacks = []sim.Policy{unkeyedPolicy{policy.NewASAP(sys)}}
+		}, 2},
+		{"same-fault-schedule", func(cfg *sim.Config, _ int) {
+			cfg.Faults, cfg.FaultSeed = sched, 17
+		}, 1},
+		{"fault-seeds-differ", func(cfg *sim.Config, lane int) {
+			cfg.Faults, cfg.FaultSeed = sched, uint64(17+lane)
+		}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lanes := make([]sim.Lane, 2)
+			for i := range lanes {
+				cfg := base()
+				c.mod(&cfg, i)
+				lanes[i] = sim.Lane{Cfg: cfg}
+			}
+			b := batchOracleCheck(t, lanes)
+			if b.Groups() != c.wantGroups {
+				t.Fatalf("want %d run groups, got %d", c.wantGroups, b.Groups())
+			}
+		})
+	}
+}
+
+// TestNewBatchRunnerRejects verifies an empty batch and an invalid lane
+// are refused up front, the latter naming the offending lane.
+func TestNewBatchRunnerRejects(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	good := sim.Lane{Cfg: sim.Config{Sys: sys, Dev: device.Synthetic(), Trace: faultTrace(20),
+		Store: storage.MustSuperCap(6, 3), Policy: policy.NewConv(sys)}}
+	noPolicy := good
+	noPolicy.Cfg.Policy = nil
+	cases := []struct {
+		name    string
+		lanes   []sim.Lane
+		wantSub string
+	}{
+		{"no-lanes", nil, "no lanes"},
+		{"invalid-lane", []sim.Lane{good, noPolicy}, "lane 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b, err := sim.NewBatchRunner(c.lanes)
+			if err == nil || b != nil {
+				t.Fatalf("NewBatchRunner = (%v, %v), want an error", b, err)
+			}
+			if !strings.Contains(err.Error(), c.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, c.wantSub)
+			}
+		})
+	}
+}
+
+// TestBatchRunnerMetrics verifies the batch books: one RecordBatch whose
+// follower-slot count is (members − 1) × slots per group, and per-lane
+// RecordRun calls that read as if each lane had run on its own — with
+// a group's memo traffic booked once, on its first instrumented lane.
+func TestBatchRunnerMetrics(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(50)
+	reg := obs.NewRegistry()
+	mk := func(cmax float64, rec sim.RecordLevel) sim.Lane {
+		return sim.Lane{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+			Store: storage.MustSuperCap(cmax, cmax/2), Policy: policy.NewFCDPM(sys, dev),
+			Record: rec, Metrics: obs.NewSimMetrics(obs.NewRegistry())}}
+	}
+	lanes := []sim.Lane{
+		mk(6, sim.RecordFuelOnly),
+		mk(6, sim.RecordFull),
+		mk(6, sim.RecordFuelOnly),
+		mk(8, sim.RecordFuelOnly),
+	}
+	b, err := sim.NewBatchRunner(lanes)
+	if err != nil {
+		t.Fatalf("NewBatchRunner: %v", err)
+	}
+	bm := obs.NewBatchMetrics(reg)
+	b.Metrics = bm
+	got, err := b.Run()
+	if err != nil {
+		t.Fatalf("batch run: %v", err)
+	}
+	if b.Groups() != 2 {
+		t.Fatalf("want 2 run groups, got %d", b.Groups())
+	}
+	slots := float64(got[0].Res.Slots)
+	if bm.Batches.Value() != 1 || bm.Lanes.Count() != 1 || bm.Lanes.Sum() != 4 {
+		t.Fatalf("batch books: %v batches, %d width observations summing %v",
+			bm.Batches.Value(), bm.Lanes.Count(), bm.Lanes.Sum())
+	}
+	if hits := bm.PlanGroupHits.Value(); hits != 2*slots {
+		t.Fatalf("follower slots %v, want 2 × %v", hits, slots)
+	}
+
+	seq := obs.NewSimMetrics(obs.NewRegistry())
+	cfg0 := lanes[0].Cfg
+	cfg0.Metrics = seq
+	if _, err := sim.Run(cfg0); err != nil {
+		t.Fatalf("sequential lane 0: %v", err)
+	}
+	for i := range lanes {
+		m := lanes[i].Cfg.Metrics
+		if m.Runs.Value() != 1 || m.Slots.Value() != float64(got[i].Res.Slots) || m.Fuel.Value() != got[i].Res.Fuel {
+			t.Fatalf("lane %d books: runs %v slots %v fuel %v, want 1 %d %v",
+				i, m.Runs.Value(), m.Slots.Value(), m.Fuel.Value(), got[i].Res.Slots, got[i].Res.Fuel)
+		}
+	}
+	first := lanes[0].Cfg.Metrics
+	if first.MemoHits.Value() != seq.MemoHits.Value() || first.MemoMisses.Value() != seq.MemoMisses.Value() {
+		t.Fatalf("group memo traffic %v/%v, sequential run %v/%v",
+			first.MemoHits.Value(), first.MemoMisses.Value(), seq.MemoHits.Value(), seq.MemoMisses.Value())
+	}
+	for _, i := range []int{1, 2} {
+		m := lanes[i].Cfg.Metrics
+		if m.MemoHits.Value() != 0 || m.MemoMisses.Value() != 0 {
+			t.Fatalf("follower lane %d booked memo traffic %v/%v", i, m.MemoHits.Value(), m.MemoMisses.Value())
+		}
+	}
+}
+
+// TestBatchRunnerSharedCollaborators verifies lanes in different run
+// groups may share one policy object and one predictor object: groups
+// run one after another and each run resets its collaborators, so every
+// lane still matches a fresh sequential run with its own instances.
+func TestBatchRunnerSharedCollaborators(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(60)
+	mk := func(cmax float64, pol sim.Policy, pred predict.Predictor) sim.Config {
+		return sim.Config{Sys: sys, Dev: dev, Trace: tr,
+			Store: storage.MustSuperCap(cmax, cmax/2), Policy: pol, IdlePredictor: pred}
+	}
+	sharedPol := policy.NewFCDPM(sys, dev)
+	sharedPred := predict.MustExpAverage(0.5, 4)
+	caps := []float64{6, 8, 10}
+	lanes := make([]sim.Lane, len(caps))
+	for i, c := range caps {
+		lanes[i] = sim.Lane{Cfg: mk(c, sharedPol, sharedPred)}
+	}
+	b, err := sim.NewBatchRunner(lanes)
+	if err != nil {
+		t.Fatalf("NewBatchRunner: %v", err)
+	}
+	if b.Groups() != len(caps) {
+		t.Fatalf("want %d run groups, got %d", len(caps), b.Groups())
+	}
+	got, err := b.Run()
+	if err != nil {
+		t.Fatalf("batch run: %v", err)
+	}
+	for i, c := range caps {
+		want, err := sim.Run(mk(c, policy.NewFCDPM(sys, dev), predict.MustExpAverage(0.5, 4)))
+		if err != nil {
+			t.Fatalf("sequential lane %d: %v", i, err)
+		}
+		if got[i].Err != nil {
+			t.Fatalf("lane %d: %v", i, got[i].Err)
+		}
+		assertResultEqual(t, labelLane(i, &lanes[i].Cfg), got[i].Res, want)
 	}
 }
 
@@ -378,6 +569,65 @@ func TestBatchRunnerCancel(t *testing.T) {
 		var ce *sim.CanceledError
 		if !errors.As(got[i].Err, &ce) || !errors.Is(got[i].Err, context.Canceled) {
 			t.Fatalf("lane %d: want *sim.CanceledError wrapping Canceled, got %v", i, got[i].Err)
+		}
+	}
+}
+
+// cancelOnReset is a policy that cancels a context when the simulator
+// resets it, which happens as its run group starts — after every earlier
+// group has finished.
+type cancelOnReset struct {
+	sim.Policy
+	cancel context.CancelFunc
+}
+
+func (p cancelOnReset) Reset(cmax, chargeTarget float64) {
+	p.cancel()
+	p.Policy.Reset(cmax, chargeTarget)
+}
+
+// TestBatchRunnerCancelBetweenGroups verifies a cancellation landing
+// between run groups keeps the finished group's results, gives every
+// unfinished lane a *CanceledError, and returns the context error.
+func TestBatchRunnerCancelBetweenGroups(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(40)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mk := func(p sim.Policy) sim.Lane {
+		return sim.Lane{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+			Store: storage.MustSuperCap(6, 3), Policy: p}}
+	}
+	lanes := []sim.Lane{
+		mk(policy.NewConv(sys)),
+		mk(cancelOnReset{Policy: policy.NewFCDPM(sys, dev), cancel: cancel}),
+		mk(policy.NewASAP(sys)),
+	}
+	b, err := sim.NewBatchRunner(lanes)
+	if err != nil {
+		t.Fatalf("NewBatchRunner: %v", err)
+	}
+	got, batchErr := b.RunContext(ctx)
+	if batchErr == nil || batchErr != ctx.Err() {
+		t.Fatalf("batch error %v, want ctx.Err() = %v", batchErr, ctx.Err())
+	}
+	if got[0].Err != nil {
+		t.Fatalf("lane 0 finished before the cancel but errored: %v", got[0].Err)
+	}
+	want, err := sim.Run(sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		Store: storage.MustSuperCap(6, 3), Policy: policy.NewConv(sys)})
+	if err != nil {
+		t.Fatalf("sequential lane 0: %v", err)
+	}
+	assertResultEqual(t, "lane 0", got[0].Res, want)
+	for _, i := range []int{1, 2} {
+		var ce *sim.CanceledError
+		if !errors.As(got[i].Err, &ce) || !errors.Is(got[i].Err, context.Canceled) {
+			t.Fatalf("lane %d: want *sim.CanceledError wrapping Canceled, got %v", i, got[i].Err)
+		}
+		if got[i].Res != nil {
+			t.Fatalf("canceled lane %d carries a Result", i)
 		}
 	}
 }

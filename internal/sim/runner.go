@@ -38,6 +38,19 @@ func (l RecordLevel) String() string {
 	}
 }
 
+// resolveRecord resolves a configuration's Record level against the
+// legacy RecordProfile/RecordSlots booleans.
+func resolveRecord(cfg *Config) (profile, slots bool) {
+	switch cfg.Record {
+	case RecordFuelOnly:
+		return false, false
+	case RecordFull:
+		return true, true
+	default:
+		return cfg.RecordProfile, cfg.RecordSlots
+	}
+}
+
 // PiecePlanner is the optional allocation-free face of a Policy:
 // SegmentPlanInto appends the segment's pieces to buf and returns the
 // extended slice, letting the simulator reuse one scratch buffer across

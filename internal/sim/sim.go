@@ -465,12 +465,12 @@ type state struct {
 	fuelKind    [numSegmentKinds]float64
 	fuelSeen    [numSegmentKinds]bool
 
-	// Fixed-size scratch buffers: policies return at most a handful of
-	// pieces per segment (2 today; the buffer grows transparently if
-	// exceeded). dec is the per-slot decode scratch; batch lanes that
-	// share their decode inputs read another state's decode instead.
-	pieceBuf [8]Piece
-	dec      slotDecode
+	// Fixed-size scratch buffers: a slot expands to at most 3 idle and 4
+	// active segments, and policies return at most a handful of pieces
+	// per segment (2 today; the buffer grows transparently if exceeded).
+	idleBuf   [3]Segment
+	activeBuf [4]Segment
+	pieceBuf  [8]Piece
 }
 
 // init performs the one-time setup: every allocation a run needs happens
@@ -487,14 +487,7 @@ func (st *state) init(cfg Config) {
 	}
 	st.baseTimeout = st.cfg.Timeout
 	st.chargeTarget = st.base.Charge() // the paper's Cini(1) stability target
-	switch cfg.Record {
-	case RecordFuelOnly:
-		st.recProfile, st.recSlots = false, false
-	case RecordFull:
-		st.recProfile, st.recSlots = true, true
-	default:
-		st.recProfile, st.recSlots = cfg.RecordProfile, cfg.RecordSlots
-	}
+	st.recProfile, st.recSlots = resolveRecord(&cfg)
 	first := cfg.Trace.Slots[0]
 	st.predIdle = cfg.IdlePredictor
 	if st.predIdle == nil {
@@ -610,69 +603,54 @@ func (s *state) sleepDecision(predIdle, actualIdle float64) bool {
 	}
 }
 
-// slotDecode is the trace-side expansion of one slot: the predictor
-// outputs, the sleep decision, the planner's idle-load view, and the
-// segment sequences — everything derived from the trace, the device
-// model, the DPM mode, and the predictors, but nothing that depends on
-// the storage level or the source policy. The scalar path decodes into
-// its own scratch; batch lanes whose decode inputs match share one
-// decode per slot and hand it to every lane before advancing.
-type slotDecode struct {
-	// info carries K, Sleeping (the planning decision), the predictions,
-	// and IdleLoad. The storage-dependent fields (Charge, Cmax,
-	// ChargeTarget) are filled per lane by runDecoded.
-	info       SlotInfo
-	didSleep   bool
-	idleSegs   []Segment
-	activeSegs []Segment
-
-	// Fixed scratch arrays backing the segment slices: a slot expands to
-	// at most 3 idle and 4 active segments, so decoding never allocates.
-	idleArr   [3]Segment
-	activeArr [4]Segment
-}
-
-// decodeSlot expands one slot into d. It reads the predictors and — under
-// DPMTimeout with an adapter — refreshes cfg.Timeout, but leaves the
-// storage, policy, and result untouched.
-func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
+// runSlot simulates one task slot.
+func (s *state) runSlot(k int, slot workload.Slot) error {
 	dev := s.cfg.Dev
-	d.info = SlotInfo{
+	fuelBefore := s.res.Fuel
+	chargeBefore := s.store.Charge()
+	info := SlotInfo{
 		K:                 k,
 		PredIdle:          s.predIdle.Predict(),
 		PredActive:        s.predActive.Predict(),
 		PredActiveCurrent: s.predCurrent.Predict(),
+		Cmax:              s.store.Capacity(),
+		ChargeTarget:      s.chargeTarget,
 	}
 	if s.cfg.DPM == DPMTimeout && s.cfg.TimeoutAdapter != nil {
 		s.cfg.Timeout = s.cfg.TimeoutAdapter.NextTimeout()
 	}
-	planSleep := s.sleepDecision(d.info.PredIdle, slot.Idle)
-	d.didSleep = planSleep
+	planSleep := s.sleepDecision(info.PredIdle, slot.Idle)
+	didSleep := planSleep
 	if s.cfg.DPM == DPMTimeout {
 		// Reactive execution: sleep happens only if the idle period
 		// actually outlasts the timeout dwell.
-		d.didSleep = slot.Idle > s.cfg.Timeout
+		didSleep = slot.Idle > s.cfg.Timeout
 	}
-	d.info.Sleeping = planSleep
-	d.info.IdleLoad = dev.IdleCurrent(planSleep)
-	if s.cfg.DPM == DPMTimeout && planSleep && d.info.PredIdle > 0 {
+	info.Sleeping = planSleep
+	info.IdleLoad = dev.IdleCurrent(planSleep)
+	if s.cfg.DPM == DPMTimeout && planSleep && info.PredIdle > 0 {
 		// Timeout idles are a STANDBY dwell followed by SLEEP; give the
 		// planner the charge-equivalent average current.
-		dwell := math.Min(s.cfg.Timeout, d.info.PredIdle)
-		d.info.IdleLoad = (dev.Isdb*dwell + dev.Islp*(d.info.PredIdle-dwell)) / d.info.PredIdle
+		dwell := math.Min(s.cfg.Timeout, info.PredIdle)
+		info.IdleLoad = (dev.Isdb*dwell + dev.Islp*(info.PredIdle-dwell)) / info.PredIdle
 	}
+	info.Charge = s.store.Charge()
+	if didSleep {
+		s.res.Sleeps++
+	}
+	s.pol.PlanIdle(info)
 
 	// Idle phase. The segment slices are backed by fixed scratch arrays
 	// sized for the worst-case slot shape, so building them never
 	// allocates.
-	idleSegs := d.idleArr[:0]
+	idleSegs := s.idleBuf[:0]
 	switch {
 	case s.cfg.DPM == DPMTimeout:
 		dwell := math.Min(s.cfg.Timeout, slot.Idle)
 		if dwell > 0 {
 			idleSegs = append(idleSegs, Segment{SegStandby, dwell, dev.Isdb})
 		}
-		if d.didSleep {
+		if didSleep {
 			pd := math.Min(dev.TauPD, slot.Idle-dwell)
 			if pd > 0 {
 				idleSegs = append(idleSegs, Segment{SegPowerDown, pd, dev.IPD})
@@ -681,7 +659,7 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 				idleSegs = append(idleSegs, Segment{SegSleep, rest, dev.Islp})
 			}
 		}
-	case d.didSleep:
+	case didSleep:
 		pd := math.Min(dev.TauPD, slot.Idle)
 		if pd > 0 {
 			idleSegs = append(idleSegs, Segment{SegPowerDown, pd, dev.IPD})
@@ -692,12 +670,24 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 	case slot.Idle > 0:
 		idleSegs = append(idleSegs, Segment{SegStandby, slot.Idle, dev.Isdb})
 	}
-	d.idleSegs = idleSegs
+	for _, seg := range idleSegs {
+		if err := s.applySegment(seg); err != nil {
+			return fmt.Errorf("slot %d idle: %w", k, err)
+		}
+	}
 
-	// Active phase: wake-up (after a real sleep), startup, the task
-	// itself, shutdown.
-	activeSegs := d.activeArr[:0]
-	if d.didSleep && dev.TauWU > 0 {
+	// Active phase: the arriving task reveals its actual demands. The
+	// Sleeping flag now reflects what actually happened, since the
+	// wake-up transition occurs only after a real sleep.
+	info.Sleeping = didSleep
+	info.ActualIdle = slot.Idle
+	info.ActualActive = slot.Active
+	info.ActualActiveCurrent = slot.ActiveCurrent
+	info.Charge = s.store.Charge()
+	s.pol.PlanActive(info)
+
+	activeSegs := s.activeBuf[:0]
+	if didSleep && dev.TauWU > 0 {
 		activeSegs = append(activeSegs, Segment{SegWakeUp, dev.TauWU, dev.IWU})
 	}
 	if dev.TauSR > 0 {
@@ -709,43 +699,7 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 	if dev.TauRS > 0 {
 		activeSegs = append(activeSegs, Segment{SegShutdown, dev.TauRS, slot.ActiveCurrent})
 	}
-	d.activeSegs = activeSegs
-}
-
-// runDecoded simulates one task slot from its decode. The decode may come
-// from this lane's own decodeSlot call or from a batch sibling with
-// identical decode inputs; either way the lane trains its own predictors
-// on the realized slot, so every lane of a shared-decode group holds
-// identical predictor state and any of them can produce the next slot's
-// decode — which is what makes the sharing byte-exact even when the
-// producing lane drops out mid-run.
-func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
-	fuelBefore := s.res.Fuel
-	chargeBefore := s.store.Charge()
-	info := d.info
-	info.Cmax = s.store.Capacity()
-	info.ChargeTarget = s.chargeTarget
-	info.Charge = s.store.Charge()
-	if d.didSleep {
-		s.res.Sleeps++
-	}
-	s.pol.PlanIdle(info)
-	for _, seg := range d.idleSegs {
-		if err := s.applySegment(seg); err != nil {
-			return fmt.Errorf("slot %d idle: %w", k, err)
-		}
-	}
-
-	// Active phase: the arriving task reveals its actual demands. The
-	// Sleeping flag now reflects what actually happened, since the
-	// wake-up transition occurs only after a real sleep.
-	info.Sleeping = d.didSleep
-	info.ActualIdle = slot.Idle
-	info.ActualActive = slot.Active
-	info.ActualActiveCurrent = slot.ActiveCurrent
-	info.Charge = s.store.Charge()
-	s.pol.PlanActive(info)
-	for _, seg := range d.activeSegs {
+	for _, seg := range activeSegs {
 		if err := s.applySegment(seg); err != nil {
 			return fmt.Errorf("slot %d active: %w", k, err)
 		}
@@ -774,8 +728,8 @@ func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
 			Idle:          slot.Idle,
 			Active:        slot.Active,
 			ActiveCurrent: slot.ActiveCurrent,
-			Slept:         d.didSleep,
-			PredIdle:      d.info.PredIdle,
+			Slept:         didSleep,
+			PredIdle:      info.PredIdle,
 			ChargeStart:   chargeBefore,
 			ChargeEnd:     s.store.Charge(),
 			Fuel:          s.res.Fuel - fuelBefore,
@@ -783,13 +737,6 @@ func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
 	}
 	s.res.Slots++
 	return nil
-}
-
-// runSlot simulates one task slot: decode, then execute. Batch lanes call
-// the two halves separately so fingerprint-equal lanes share one decode.
-func (s *state) runSlot(k int, slot workload.Slot) error {
-	s.decodeSlot(k, slot, &s.dec)
-	return s.runDecoded(k, slot, &s.dec)
 }
 
 // applySegment integrates one segment under the active policy's piece

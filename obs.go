@@ -21,7 +21,8 @@ type (
 	// depth, resolutions, retries, breaker transitions).
 	PoolMetrics = obs.PoolMetrics
 	// BatchMetrics is the batched simulator's instrument set (batch
-	// count, lane-width histogram, plan-group hits).
+	// count, lane-width histogram, slot executions collapsed duplicate
+	// lanes inherited).
 	BatchMetrics = obs.BatchMetrics
 	// Tracer is the lightweight span facility: monotonic timestamps,
 	// optional per-span hooks, slow-span threshold logging.
