@@ -613,3 +613,157 @@ func TestWorkerLostLeaseCancelsRun(t *testing.T) {
 		t.Fatalf("reclaimExpired = %d, want 1", n)
 	}
 }
+
+// shardSpecs snapshots every shard's in-memory spec by sweep ID.
+func shardSpecs(d *Dispatcher) map[string][]json.RawMessage {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[string][]json.RawMessage, len(d.sweeps))
+	for id, sw := range d.sweeps {
+		for _, sh := range sw.shards {
+			out[id] = append(out[id], sh.doc.Spec)
+		}
+	}
+	return out
+}
+
+// TestSpecReleaseSurvivesRestart: a terminal shard drops its spec from
+// memory, at completion and after a restart, yet the journal keeps it —
+// startup compaction runs before any release. A completed shard whose
+// cache blob is lost between restarts therefore comes back queued with
+// its spec intact, and a worker re-runs it to the same row.
+func TestSpecReleaseSurvivesRestart(t *testing.T) {
+	state := t.TempDir()
+	specs := []json.RawMessage{
+		scenarioJSON("release-a", 31), scenarioJSON("release-b", 32), scenarioJSON("release-c", 33),
+	}
+
+	// Run 1: complete every shard. Terminal shards hold no spec.
+	d1, ts1 := newTestDispatcher(t, Options{StateDir: state, LeaseTTL: time.Second})
+	_, stop1 := startTestWorker(t, "w1", ts1.URL, 2)
+	var acc SweepAccepted
+	httpPostJSON(t, ts1.URL+"/v1/sweeps", SweepRequest{Name: "release", Scenarios: specs}, &acc)
+	waitSweepDone(t, ts1, acc.ID, 30*time.Second)
+	stop1()
+	for i, spec := range shardSpecs(d1)[acc.ID] {
+		if spec != nil {
+			t.Fatalf("completed shard %d still holds its spec in memory", i)
+		}
+	}
+	ts1.Close()
+	d1.Close()
+
+	// Run 2: replay + compaction, then release again.
+	d2, err := New(Options{StateDir: state, LeaseTTL: time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range shardSpecs(d2)[acc.ID] {
+		if spec != nil {
+			t.Fatalf("replayed terminal shard %d still holds its spec in memory", i)
+		}
+	}
+	d2.Close()
+
+	// Lose one completed shard's blob, then restart again.
+	key := func(spec json.RawMessage) string {
+		scen, err := config.LoadValidated(bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := scen.CacheKey(version.Engine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if err := os.Remove(filepath.Join(state, "cache", key(specs[1])+".json")); err != nil {
+		t.Fatal(err)
+	}
+	d3, ts3 := newTestDispatcher(t, Options{StateDir: state, LeaseTTL: time.Second})
+	var st SweepStatus
+	if err := client.GetJSON(context.Background(), ts3.Client(), ts3.URL+"/v1/sweeps/"+acc.ID, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Remaining != 1 || st.Cells[1].State != shardQueued {
+		t.Fatalf("after losing one blob: %+v, want shard 1 queued and the rest complete", st)
+	}
+	scen, err := config.LoadValidated(bytes.NewReader(specs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := scen.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shardSpecs(d3)[acc.ID][1]; !bytes.Equal(got, canon) {
+		t.Fatalf("requeued shard's spec = %s, want the canonical spec %s", got, canon)
+	}
+
+	w3, stop3 := startTestWorker(t, "w3", ts3.URL, 1)
+	waitSweepDone(t, ts3, acc.ID, 30*time.Second)
+	stop3()
+	if n := w3.metrics.executed.Value(); n != 1 {
+		t.Fatalf("worker executed %v shards after the restart, want 1 (the lost blob)", n)
+	}
+	resp, err := ts3.Client().Get(ts3.URL + "/v1/sweeps/" + acc.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got, want bytes.Buffer
+	got.ReadFrom(resp.Body)
+	for _, spec := range specs {
+		want.Write(renderLocally(t, spec))
+		want.WriteByte('\n')
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("rows after re-run differ from local batch\ngot:  %s\nwant: %s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestLeaseTokenStrict: a lease token has exactly one spelling. Signs,
+// leading zeros and trailing garbage used to parse (fmt.Sscanf "%d"), so
+// "swp-000001/0x/1" addressed shard 0; now /v1/complete answers 400 and
+// /v1/heartbeat reports the token lost.
+func TestLeaseTokenStrict(t *testing.T) {
+	for _, tok := range []string{"s/0x/1", "s/+0/1", "s/00/1", "s/0/1x", "s/0/+1", "s/0/ 1", "s/0/1/", "s//1"} {
+		if _, _, _, ok := parseLease(tok); ok {
+			t.Errorf("parseLease(%q) accepted a malformed token", tok)
+		}
+	}
+	if id, idx, ep, ok := parseLease("swp-000001/2/1048577"); !ok || id != "swp-000001" || idx != 2 || ep != 1048577 {
+		t.Fatalf("parseLease of a well-formed token = %q %d %d %v", id, idx, ep, ok)
+	}
+
+	d, ts := newTestDispatcher(t, Options{LeaseTTL: time.Second})
+	httpPostJSON(t, ts.URL+"/v1/sweeps", SweepRequest{Name: "tokens",
+		Scenarios: []json.RawMessage{scenarioJSON("token-a", 41)}}, nil)
+	var lr LeaseResponse
+	httpPostJSON(t, ts.URL+"/v1/lease", LeaseRequest{Worker: "w", Engine: d.engine, Max: 1}, &lr)
+	if len(lr.Shards) != 1 {
+		t.Fatalf("leased %d shards, want 1", len(lr.Shards))
+	}
+	sh := lr.Shards[0]
+	parts := strings.Split(sh.Lease, "/")
+	garbled := parts[0] + "/" + parts[1] + "x/" + parts[2]
+	signed := parts[0] + "/+" + parts[1] + "/" + parts[2]
+
+	var hb HeartbeatResponse
+	httpPostJSON(t, ts.URL+"/v1/heartbeat", HeartbeatRequest{Worker: "w",
+		Leases: []string{sh.Lease, signed, garbled}}, &hb)
+	if len(hb.Renewed) != 1 || hb.Renewed[0] != sh.Lease || len(hb.Lost) != 2 {
+		t.Fatalf("heartbeat = %+v, want only %q renewed and both malformed tokens lost", hb, sh.Lease)
+	}
+
+	err := client.PostJSON(context.Background(), ts.Client(), ts.URL+"/v1/complete", CompleteRequest{
+		Worker: "w", Lease: garbled, RunID: sh.RunID, Key: sh.Key, OK: false, Error: "forged",
+	}, nil)
+	var he *client.Error
+	if !errors.As(err, &he) || he.Code != http.StatusBadRequest {
+		t.Fatalf("complete with a malformed token: err = %v, want 400", err)
+	}
+	if n := d.stateCount(shardFailed); n != 0 {
+		t.Fatalf("a malformed token failed %d shard(s)", n)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,8 +39,11 @@ const (
 	maxSweepShards = 4096
 	// drainRetryAfter is the Retry-After hint on draining 503s.
 	drainRetryAfter = 5 * time.Second
-	// emptyQueueRetryAfter hints pollers when no work was available.
-	emptyQueueRetryAfter = 1 * time.Second
+	// leaseHold bounds how long POST /v1/lease parks when nothing is
+	// grantable before it answers an empty 200. Well under the worker's
+	// HTTP timeout and the default LeaseTTL/3; the hold itself paces idle
+	// polling, so an empty grant carries no Retry-After.
+	leaseHold = 1 * time.Second
 	// fenceRetryAfter is the Retry-After hint while admissions are
 	// fenced by a WAL write failure.
 	fenceRetryAfter = 2 * time.Second
@@ -197,6 +201,9 @@ type Dispatcher struct {
 	workers map[string]time.Time
 	// inState counts shards by state for the gauges and /v1/stats.
 	inState map[string]int
+	// wake is closed (and replaced) whenever parked leases should retry
+	// their grant: a queue append, drain, or Close. See wakeLocked.
+	wake chan struct{}
 
 	closeOnce sync.Once
 	closeErr  error
@@ -226,6 +233,7 @@ func New(opts Options) (*Dispatcher, error) {
 		sweeps:  make(map[string]*sweep),
 		workers: make(map[string]time.Time),
 		inState: make(map[string]int),
+		wake:    make(chan struct{}),
 	}
 	reg.GaugeFunc("fcdpm_dispatch_queue_depth", "Shards waiting for a lease.", func() float64 {
 		d.mu.Lock()
@@ -427,6 +435,16 @@ func (d *Dispatcher) replay(records []json.RawMessage) error {
 			d.genDirty.Store(true)
 		}
 	}
+	// Only now may terminal shards drop their specs: the journal on disk
+	// — compacted or not — holds every one of them, so a completed shard
+	// whose blob goes missing before the next start can still re-run.
+	for _, sw := range d.sweeps {
+		for _, sh := range sw.shards {
+			if sh.state == shardCompleted || sh.state == shardFailed {
+				sh.doc.Spec = nil
+			}
+		}
+	}
 	return nil
 }
 
@@ -439,7 +457,8 @@ func (d *Dispatcher) adoptSweep(sw *sweep) {
 
 // compactRecords folds terminal shard states into one sweep record per
 // live sweep, headed by the generation record that anchors lease-epoch
-// bases for the next replay.
+// bases for the next replay. It runs only inside replay, before any
+// terminal shard has released its spec, so every record keeps its spec.
 func (d *Dispatcher) compactRecords() []any {
 	recs := []any{walGen{Op: "gen", Gen: d.gen}}
 	for _, id := range d.order {
@@ -559,6 +578,9 @@ func (d *Dispatcher) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		}
 		d.queue = append(d.queue, shardRef{sweep: sw.id, index: i})
 	}
+	if sw.remaining > 0 {
+		d.wakeLocked()
+	}
 	id, n := sw.id, len(docs)
 	d.mu.Unlock()
 
@@ -598,20 +620,6 @@ type walProbe struct {
 	Op string `json:"op"`
 }
 
-// probeFence re-tests a fenced journal with a throwaway append, holding
-// d.mu. Reports whether the dispatcher is still fenced afterwards.
-func (d *Dispatcher) probeFence() bool {
-	if !d.fenced.Load() {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.fenced.Load() {
-		return false
-	}
-	return d.walAppend(walProbe{Op: "probe"}) != nil
-}
-
 // completeLocked is the single place a shard reaches a terminal state:
 // from a worker's delivery, from a cache hit at submission or lease
 // time, or from replay-free failure paths. Caller holds d.mu. It
@@ -633,6 +641,10 @@ func (d *Dispatcher) completeLocked(sw *sweep, idx int, state string, cached boo
 	d.inState[sh.state]--
 	d.inState[state]++
 	sh.state, sh.cached, sh.errMsg, sh.worker = state, cached, errMsg, worker
+	// Only a queued shard's lease needs the spec, and the journal's sweep
+	// record already holds it durably (replay restores it if the blob is
+	// ever lost), so a terminal shard stops pinning it in memory.
+	sh.doc.Spec = nil
 	sw.remaining--
 	switch state {
 	case shardCompleted:
@@ -666,6 +678,12 @@ func (d *Dispatcher) finalizeLocked(sw *sweep) {
 // handleLease grants up to Max queued shards to a worker. Shards whose
 // result landed in the cache since they queued complete immediately
 // instead of being granted — the lazy half of idempotent re-dispatch.
+//
+// When nothing is grantable the request parks for up to leaseHold: a
+// queue append, drain, or Close wakes it to retry, and a canceled
+// request simply returns. A drain or fence seen after a wake answers
+// 503 exactly as it would have on arrival; a hold that runs out answers
+// an empty 200, after which the worker polls again at once.
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !d.decodeBody(w, r, &req) {
@@ -680,23 +698,50 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 			"engine mismatch: dispatcher %s, worker %s", d.engine, req.Engine)
 		return
 	}
-	if d.draining.Load() {
-		httpx.WriteUnavailable(w, drainRetryAfter, "draining")
-		return
-	}
-	// While the journal is unwritable, granting leases only burns worker
-	// cycles: the resulting completions could not be journaled and would
-	// be held pending anyway. Probe (so the fence lifts the moment the
-	// disk recovers) and shed if still fenced.
-	if d.probeFence() {
-		httpx.WriteUnavailable(w, fenceRetryAfter, "journal unwritable: leasing fenced")
-		return
-	}
 	if req.Max <= 0 {
 		req.Max = 1
 	}
+	hold := time.NewTimer(leaseHold)
+	defer hold.Stop()
+	for {
+		d.mu.Lock()
+		// drain sets the flag under d.mu and then wakes, so this request
+		// either sees the flag here or parks on a channel drain closes.
+		if d.draining.Load() {
+			d.mu.Unlock()
+			httpx.WriteUnavailable(w, drainRetryAfter, "draining")
+			return
+		}
+		// While the journal is unwritable, granting leases only burns
+		// worker cycles: the resulting completions could not be journaled
+		// and would be held pending anyway. Probe (so the fence lifts the
+		// moment the disk recovers) and shed if still fenced.
+		if d.fenced.Load() && d.walAppend(walProbe{Op: "probe"}) != nil {
+			d.mu.Unlock()
+			httpx.WriteUnavailable(w, fenceRetryAfter, "journal unwritable: leasing fenced")
+			return
+		}
+		granted := d.grantLocked(req)
+		wake := d.wake
+		d.mu.Unlock()
+		if len(granted) > 0 {
+			httpx.WriteJSON(w, 200, LeaseResponse{Shards: granted})
+			return
+		}
+		select {
+		case <-wake:
+		case <-hold.C:
+			httpx.WriteJSON(w, 200, LeaseResponse{})
+			return
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
 
-	d.mu.Lock()
+// grantLocked pops up to req.Max leasable shards off the queue and
+// leases them to req.Worker. Caller holds d.mu.
+func (d *Dispatcher) grantLocked(req LeaseRequest) []Shard {
 	d.workers[req.Worker] = d.opts.Now()
 	var granted []Shard
 	// Bounded by the queue length at entry: a cache-hit shard whose
@@ -714,8 +759,10 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 			if !d.completeLocked(sw, ref.index, shardCompleted, true, "", "") {
 				// Journal refused the completion: the shard is still
 				// queued, and it just left the queue slice — put it back
-				// or it can never be leased again.
+				// or it can never be leased again, and let other parked
+				// leases see it.
 				d.queue = append(d.queue, ref)
+				d.wakeLocked()
 			}
 			continue
 		}
@@ -734,13 +781,24 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	d.metrics.leases.Add(float64(len(granted)))
-	d.mu.Unlock()
+	return granted
+}
 
-	if len(granted) == 0 {
-		// Not an error: an empty grant with a poll hint.
-		w.Header().Set("Retry-After", "1")
-	}
-	httpx.WriteJSON(w, 200, LeaseResponse{Shards: granted})
+// wakeLocked releases every parked lease to retry its grant. Caller
+// holds d.mu; a lease captures d.wake under the same lock after its own
+// grant attempt, so it never misses a wake that happens after it.
+func (d *Dispatcher) wakeLocked() {
+	close(d.wake)
+	d.wake = make(chan struct{})
+}
+
+// drain stops admission and leasing: new and parked lease requests
+// answer 503 + Retry-After, while completions are still accepted.
+func (d *Dispatcher) drain() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.draining.Store(true)
+	d.wakeLocked()
 }
 
 // leaseToken encodes a lease's identity; parseLease inverts it.
@@ -753,10 +811,11 @@ func parseLease(token string) (sweepID string, index, epoch int, ok bool) {
 	if len(parts) != 3 {
 		return "", 0, 0, false
 	}
-	if _, err := fmt.Sscanf(parts[1], "%d", &index); err != nil {
-		return "", 0, 0, false
-	}
-	if _, err := fmt.Sscanf(parts[2], "%d", &epoch); err != nil {
+	index, ierr := strconv.Atoi(parts[1])
+	epoch, eerr := strconv.Atoi(parts[2])
+	// The round trip rejects what Atoi tolerates ("+3", "03"): exactly one
+	// spelling addresses a lease.
+	if ierr != nil || eerr != nil || leaseToken(parts[0], index, epoch) != token {
 		return "", 0, 0, false
 	}
 	return parts[0], index, epoch, true
@@ -910,6 +969,9 @@ func (d *Dispatcher) ReclaimExpired() int {
 				Worker: worker, Detail: "lease expired"})
 			n++
 		}
+	}
+	if n > 0 {
+		d.wakeLocked()
 	}
 	return n
 }
@@ -1084,7 +1146,7 @@ func (l *eventLog) next(ctx context.Context, i int) ([]byte, bool) {
 // in-flight leases simply expire on the next start.
 func (d *Dispatcher) Close() error {
 	d.closeOnce.Do(func() {
-		d.draining.Store(true)
+		d.drain()
 		if d.wal != nil {
 			d.closeErr = d.wal.close()
 		}

@@ -9,11 +9,11 @@ import (
 )
 
 // Serve runs the dispatcher until ctx is canceled (SIGTERM/SIGINT in
-// the CLI), then drains: admission and leasing stop (503 + Retry-After)
-// while in-flight completions are still accepted for a grace period, so
-// workers mid-push lose nothing. State is durable throughout — a
-// SIGKILL instead of a drain costs only the unexpired leases, which the
-// next start reclaims.
+// the CLI), then drains: admission and leasing stop (503 + Retry-After,
+// parked lease polls included) while in-flight completions are still
+// accepted for a grace period, so workers mid-push lose nothing. State
+// is durable throughout — a SIGKILL instead of a drain costs only the
+// unexpired leases, which the next start reclaims.
 func Serve(ctx context.Context, opts Options) error {
 	d, err := New(opts)
 	if err != nil {
@@ -24,6 +24,12 @@ func Serve(ctx context.Context, opts Options) error {
 		d.Close()
 		return fmt.Errorf("dispatch: listen: %w", err)
 	}
+	return d.serve(ctx, ln)
+}
+
+// serve runs the HTTP surface and the reclaim ticker on ln until ctx is
+// canceled, then drains and closes the dispatcher.
+func (d *Dispatcher) serve(ctx context.Context, ln net.Listener) error {
 	d.opts.Logf("fcdpm dispatchd: listening on http://%s (engine %s, lease TTL %s)",
 		ln.Addr(), d.engine, d.opts.LeaseTTL)
 
@@ -60,7 +66,7 @@ func Serve(ctx context.Context, opts Options) error {
 		return fmt.Errorf("dispatch: %w", err)
 	case <-ctx.Done():
 	}
-	d.draining.Store(true)
+	d.drain()
 	d.opts.Logf("fcdpm dispatchd: draining (leasing stopped, completions still accepted)")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

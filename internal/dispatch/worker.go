@@ -27,8 +27,10 @@ import (
 
 // Worker defaults.
 const (
-	// DefaultPollMin/Max bound the jittered exponential backoff between
-	// lease polls (empty queue or unreachable dispatcher).
+	// DefaultPollMin/Max bound the jittered exponential backoff after a
+	// failed lease poll (an error, a 503, an unreachable dispatcher) or
+	// delivery attempt. An empty grant is not backed off: the dispatcher
+	// already held that poll open while the queue stayed empty.
 	DefaultPollMin = 200 * time.Millisecond
 	DefaultPollMax = 5 * time.Second
 	// completeAttempts bounds delivery retries before a result spools.
@@ -47,7 +49,8 @@ type WorkerOptions struct {
 	Workers int
 	// RunTimeout is the per-shard simulation deadline; 0 means none.
 	RunTimeout time.Duration
-	// PollMin/PollMax bound the lease-poll backoff.
+	// PollMin/PollMax bound the backoff after a failed lease poll and
+	// between delivery retries; an empty grant re-polls at once.
 	PollMin, PollMax time.Duration
 	// SpoolDir, when set, buffers results the dispatcher could not
 	// receive; the spool drains on reconnect. Empty disables spooling —
@@ -135,6 +138,11 @@ type Worker struct {
 
 	// slotFree pulses when a lease releases, waking the lease loop.
 	slotFree chan struct{}
+	// leased closes at the first grant, which carries the dispatcher's
+	// lease TTL. The heartbeat loop waits for it: a first sleep sized from
+	// the default TTL would outlast a shorter granted one.
+	leased     chan struct{}
+	leasedOnce sync.Once
 	// deliveries tracks in-flight result pushes across shutdown.
 	deliveries sync.WaitGroup
 }
@@ -156,6 +164,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		active:   make(map[string]*activeShard),
 		ttl:      DefaultLeaseTTL,
 		slotFree: make(chan struct{}, 1),
+		leased:   make(chan struct{}),
 	}
 	poolCtx, cancel := context.WithCancel(context.Background())
 	w.poolStop = cancel
@@ -215,11 +224,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// leaseLoop is the acquisition side: poll with jittered exponential
-// backoff, honor Retry-After, drain the spool whenever the dispatcher
-// answers, start every granted shard.
+// leaseLoop is the acquisition side: long-poll the dispatcher, back off
+// (jittered, exponential, honoring Retry-After) only when a poll fails,
+// drain the spool whenever the dispatcher answers, start every granted
+// shard.
 func (w *Worker) leaseLoop(ctx context.Context) error {
-	netFails, idle := 0, 0
+	netFails, httpFails := 0, 0
 	for ctx.Err() == nil {
 		w.mu.Lock()
 		shed := w.shedUntil
@@ -241,14 +251,10 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 		var he *client.Error
 		switch {
 		case err == nil:
-			netFails = 0
+			// An empty grant is not backed off: the dispatcher held this
+			// poll open while it had nothing to lease, so poll again at once.
+			netFails, httpFails = 0, 0
 			w.drainSpool(ctx)
-			if len(resp.Shards) == 0 {
-				idle++
-				w.sleep(ctx, runner.BackoffDelay(w.opts.PollMin, w.opts.PollMax, w.opts.Name+"/idle", idle))
-				continue
-			}
-			idle = 0
 			w.metrics.leased.Add(float64(len(resp.Shards)))
 			for _, sh := range resp.Shards {
 				w.start(sh)
@@ -261,8 +267,8 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 			}
 			delay := he.RetryAfter
 			if delay <= 0 {
-				idle++
-				delay = runner.BackoffDelay(w.opts.PollMin, w.opts.PollMax, w.opts.Name+"/http", idle)
+				httpFails++
+				delay = runner.BackoffDelay(w.opts.PollMin, w.opts.PollMax, w.opts.Name+"/http", httpFails)
 			}
 			w.sleep(ctx, delay)
 		default:
@@ -311,6 +317,7 @@ func (w *Worker) start(sh Shard) {
 		w.ttl = ttl
 	}
 	w.mu.Unlock()
+	w.leasedOnce.Do(func() { close(w.leased) })
 	err := w.pool.Submit(runner.Task[struct{}]{
 		ID:       sh.Lease,
 		Scenario: sh.Name,
@@ -436,6 +443,11 @@ func (w *Worker) release(act *activeShard) {
 // dispatcher reports lost are canceled locally — the shard was
 // reclaimed and re-dispatched, so finishing it here is wasted work.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
+	select {
+	case <-ctx.Done():
+		return
+	case <-w.leased:
+	}
 	for {
 		w.mu.Lock()
 		tick := w.ttl / 3
