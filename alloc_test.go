@@ -110,9 +110,8 @@ func TestSimRunnerResultsStayIdentical(t *testing.T) {
 }
 
 // newThroughputBatch builds a fault-free multi-lane batch over the
-// camcorder trace: three identical-dynamics FC-DPM lanes (one group)
-// plus a Conv lane and an ASAP lane, instrumented with a BatchMetrics
-// bundle.
+// camcorder trace: three FC-DPM lanes keyed alike (one group) plus a
+// Conv lane and an ASAP lane, instrumented with a BatchMetrics bundle.
 func newThroughputBatch(t testing.TB) *BatchRunner {
 	sys := PaperSystem()
 	dev := Camcorder()
@@ -120,18 +119,18 @@ func newThroughputBatch(t testing.TB) *BatchRunner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(p Policy, rec RecordLevel) SimLane {
-		return SimLane{Cfg: SimConfig{
+	mk := func(key string, p Policy, rec RecordLevel) SimLane {
+		return SimLane{Key: key, Cfg: SimConfig{
 			Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 			Trace: trace, Policy: p, Record: rec,
 		}}
 	}
 	b, err := NewBatchRunner([]SimLane{
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewConv(sys), RecordFuelOnly),
-		mk(NewASAP(sys), RecordFuelOnly),
+		mk("fcdpm", NewFCDPM(sys, dev), RecordFuelOnly),
+		mk("fcdpm", NewFCDPM(sys, dev), RecordFuelOnly),
+		mk("fcdpm", NewFCDPM(sys, dev), RecordFuelOnly),
+		mk("conv", NewConv(sys), RecordFuelOnly),
+		mk("asap", NewASAP(sys), RecordFuelOnly),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -404,9 +404,9 @@ func BenchmarkSimulateSlotThroughput(b *testing.B) {
 
 // batchVariantLanes builds K scenario-variant lanes over the Experiment 1
 // camcorder trace for the batched core: 8 distinct dynamics (Conv, ASAP,
-// FC-DPM, and quantized FC-DPM at 5 level counts) replicated round-robin,
-// so at K=64 each dynamics fingerprint carries 8 identical lanes and the
-// run-grouping collapses them onto one executing leader.
+// FC-DPM, and quantized FC-DPM at 5 level counts) replicated round-robin
+// and keyed by variant label, so at K=64 each key carries 8 identical
+// lanes and the run-grouping collapses them onto one executing leader.
 func batchVariantLanes(b *testing.B, k int) []SimLane {
 	b.Helper()
 	sys := PaperSystem()
@@ -415,28 +415,34 @@ func batchVariantLanes(b *testing.B, k int) []SimLane {
 	if err != nil {
 		b.Fatal(err)
 	}
-	quant := func(n int) Policy {
-		p, err := NewFCDPMQuantized(sys, dev, UniformLevels(sys, n))
-		if err != nil {
-			b.Fatal(err)
+	quant := func(n int) func() Policy {
+		return func() Policy {
+			p, err := NewFCDPMQuantized(sys, dev, UniformLevels(sys, n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
 		}
-		return p
 	}
-	variants := []func() Policy{
-		func() Policy { return NewConv(sys) },
-		func() Policy { return NewASAP(sys) },
-		func() Policy { return NewFCDPM(sys, dev) },
-		func() Policy { return quant(3) },
-		func() Policy { return quant(4) },
-		func() Policy { return quant(6) },
-		func() Policy { return quant(8) },
-		func() Policy { return quant(12) },
+	variants := []struct {
+		label string
+		mk    func() Policy
+	}{
+		{"conv", func() Policy { return NewConv(sys) }},
+		{"asap", func() Policy { return NewASAP(sys) }},
+		{"fcdpm", func() Policy { return NewFCDPM(sys, dev) }},
+		{"quant-3", quant(3)},
+		{"quant-4", quant(4)},
+		{"quant-6", quant(6)},
+		{"quant-8", quant(8)},
+		{"quant-12", quant(12)},
 	}
 	lanes := make([]SimLane, k)
 	for i := range lanes {
-		lanes[i] = SimLane{Cfg: SimConfig{
+		v := variants[i%len(variants)]
+		lanes[i] = SimLane{Key: v.label, Cfg: SimConfig{
 			Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
-			Trace: trace, Policy: variants[i%len(variants)](),
+			Trace: trace, Policy: v.mk(),
 			Record: RecordFuelOnly,
 		}}
 	}
@@ -447,8 +453,8 @@ func batchVariantLanes(b *testing.B, k int) []SimLane {
 // slot throughput at lane widths 1, 8, and 64 over the Experiment 1
 // trace. slots/op counts lane-slots (trace length × K), so ns/op ÷
 // slots/op is the per-lane-slot cost — the number that must fall ≥3×
-// below the K=1 scalar baseline at K=64, where the 8 recording copies
-// per dynamics fingerprint collapse onto 8 executing leaders.
+// below the K=1 scalar baseline at K=64, where the 8 lanes per variant
+// key collapse onto 8 executing leaders (K=1, 8, 64 run 1, 8, 8 groups).
 func BenchmarkBatchSlotThroughput(b *testing.B) {
 	for _, k := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {

@@ -260,7 +260,8 @@ func TestRunFileBadTraceRecordExitsOne(t *testing.T) {
 
 // TestRunMultiStack: the allocation study runs end to end and its
 // -assert gate holds (water-filling strictly below equal-split on the
-// degraded mix); bad list flags are usage errors.
+// degraded mix); bad list flags and a negative or non-finite -duration
+// are usage errors.
 func TestRunMultiStack(t *testing.T) {
 	old := os.Stdout
 	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -280,6 +281,9 @@ func TestRunMultiStack(t *testing.T) {
 		{"multistack", "-k", "two"},
 		{"multistack", "-intensity", ""},
 		{"multistack", "extra"},
+		{"multistack", "-duration", "-5"},
+		{"multistack", "-duration", "NaN"},
+		{"multistack", "-duration", "+Inf"},
 	} {
 		if err := run(context.Background(), bad); exitCode(err) != 2 {
 			t.Errorf("run(%v) = %v, want usage error", bad, err)

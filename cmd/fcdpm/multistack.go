@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -15,7 +16,7 @@ import (
 
 // cmdMultiStack runs the K-stack allocation study: equal-split,
 // water-filling, and health-rotation racks across rack sizes and
-// racksurge intensities, on the batched simulation core.
+// racksurge intensities.
 func cmdMultiStack(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("multistack", flag.ContinueOnError)
 	ks := fs.String("k", "2,4", "comma-separated rack sizes")
@@ -23,7 +24,6 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 	degrade := fs.String("degrade", "0,0.3", "comma-separated per-stack degradation cycle in [0, 1); \"0\" for an all-healthy rack")
 	seed := fs.Uint64("seed", 0, "racksurge trace seed (0 = generator default)")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = generator default)")
-	batch := fs.Int("batch", 16, "batched-runner lane width (results identical at any width)")
 	asJSON := fs.Bool("json", false, "emit rows as JSON")
 	assert := fs.Bool("assert", false, "exit non-zero unless water-filling uses strictly less fuel than equal-split in every cell")
 	if err := parseFlags(fs, args); err != nil {
@@ -50,8 +50,11 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 		DegradedMix: mix,
 		Seed:        *seed,
 		Duration:    *duration,
-		Batch:       *batch,
 	})
+	var ce *exp.ConfigError
+	if errors.As(err, &ce) && ce.Field == "Duration" {
+		return usagef("multistack: -duration: %v", err)
+	}
 	if err != nil {
 		return err
 	}

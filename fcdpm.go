@@ -151,22 +151,19 @@ type (
 	RecordLevel = sim.RecordLevel
 	// SimLane is one scenario variant of a batched run: a SimConfig plus
 	// an optional grouping key asserting "same simulation as any lane
-	// with an equal key".
+	// with an equal key"; an unkeyed lane runs alone.
 	SimLane = sim.Lane
 	// LaneResult is one lane's outcome from a BatchRunner run. Res
 	// aliases the batch runner's internal buffers (same caution as
 	// SimRunner results).
 	LaneResult = sim.LaneResult
 	// BatchRunner executes K scenario variants over one trace,
-	// collapsing identical-dynamics lanes to a single simulation and
+	// collapsing lanes with equal keys to a single simulation and
 	// running the distinct ones one after another, so every lane's Result
 	// is bit-identical to a sequential run. Allocate once with
 	// NewBatchRunner; Run is allocation-free at steady state on
 	// fault-free lanes.
 	BatchRunner = sim.BatchRunner
-	// BatchKeyer is the optional grouping identity a policy, predictor,
-	// or storage element can expose to let BatchRunner group lanes.
-	BatchKeyer = sim.BatchKeyer
 )
 
 // Recording levels for SimConfig.Record.
@@ -390,8 +387,8 @@ func RunContext(ctx context.Context, cfg SimConfig) (*Result, error) {
 func NewSimRunner(cfg SimConfig) (*SimRunner, error) { return sim.NewRunner(cfg) }
 
 // NewBatchRunner validates the lanes (which must share one trace), groups
-// identical-dynamics lanes, and allocates one reusable run state per
-// group. See the BatchRunner type note for the aliasing caution.
+// lanes by their keys, and allocates one reusable run state per group.
+// See the BatchRunner type note for the aliasing caution.
 func NewBatchRunner(lanes []SimLane) (*BatchRunner, error) { return sim.NewBatchRunner(lanes) }
 
 // Fault-injection types (the robustness subsystem).

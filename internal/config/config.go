@@ -8,8 +8,8 @@
 package config
 
 import (
-	"errors"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,6 +28,12 @@ import (
 	"fcdpm/internal/storage"
 	"fcdpm/internal/workload"
 )
+
+// maxStacks bounds system.stacks. Admission expands the degradation
+// cycle to one entry per stack and Build pre-solves the rack over every
+// stack, so an unbounded count lets one spec exhaust the server's
+// memory.
+const maxStacks = 256
 
 // ValidationError pinpoints the scenario field that failed validation.
 type ValidationError struct {
@@ -128,6 +134,7 @@ type SystemSpec struct {
 	ConstantEta float64 `json:"constantEta"`
 	// Stacks, when >= 2, replicates the system into a K-stack rack
 	// (multistack.Uniform) aggregated behind the shared storage element.
+	// At most 256.
 	Stacks int `json:"stacks"`
 	// Alloc selects the rack's power-allocation policy: "equal" (default),
 	// "waterfill", or "rotation". Ignored when Stacks <= 1.
@@ -325,6 +332,9 @@ func (s *Scenario) Validate() error {
 	}
 	if s.System.Stacks < 0 {
 		return &ValidationError{Field: "system.stacks", Detail: fmt.Sprintf("negative stack count %d", s.System.Stacks)}
+	}
+	if s.System.Stacks > maxStacks {
+		return &ValidationError{Field: "system.stacks", Detail: fmt.Sprintf("stack count %d exceeds %d", s.System.Stacks, maxStacks)}
 	}
 	if s.System.Stacks >= 2 || s.System.Alloc != "" {
 		if _, err := multistack.ParseAllocator(s.System.Alloc); err != nil {

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"fcdpm/internal/device"
 	"fcdpm/internal/fuelcell"
@@ -25,13 +26,29 @@ type MultiStackConfig struct {
 	// {0, 0.3}: every second stack 30 % degraded — the heterogeneous
 	// rack where allocation policy matters).
 	DegradedMix []float64
-	// Seed and Duration override the racksurge generator defaults.
+	// Seed and Duration override the racksurge generator defaults when
+	// non-zero. Duration must be finite and non-negative.
 	Seed     uint64
 	Duration float64
-	// Batch bounds the batched-runner lane width (default 16). Results
-	// are identical at every width; the knob only bounds how many lanes
-	// one BatchRunner holds at a time.
-	Batch int
+}
+
+// ConfigError reports a study configuration field outside its domain.
+type ConfigError struct {
+	Field string // the Go field name, e.g. "Duration"
+	Value float64
+	Want  string // the accepted domain
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("exp: %s = %v, want %s", e.Field, e.Value, e.Want)
+}
+
+func (c MultiStackConfig) validate() error {
+	if !(c.Duration >= 0) || math.IsInf(c.Duration, 1) {
+		return &ConfigError{Field: "Duration", Value: c.Duration, Want: "finite and >= 0 (0 = generator default)"}
+	}
+	return nil
 }
 
 func (c MultiStackConfig) withDefaults() MultiStackConfig {
@@ -43,9 +60,6 @@ func (c MultiStackConfig) withDefaults() MultiStackConfig {
 	}
 	if c.DegradedMix == nil {
 		c.DegradedMix = []float64{0, 0.3}
-	}
-	if c.Batch < 1 {
-		c.Batch = 16
 	}
 	return c
 }
@@ -77,12 +91,15 @@ func MultiStackStudy(cfg MultiStackConfig) ([]MultiStackRow, error) {
 	return MultiStackStudyContext(context.Background(), cfg)
 }
 
-// MultiStackStudyContext is MultiStackStudy under a context.
+// MultiStackStudyContext is MultiStackStudy under a context. An invalid
+// cfg yields a *ConfigError.
 func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	allocs := multistack.Allocators()
 	var rows []MultiStackRow
-	// Lanes are grouped per intensity: a batch walks one trace.
 	for _, intensity := range cfg.Intensities {
 		wcfg := workload.DefaultRackSurgeConfig()
 		if cfg.Seed != 0 {
@@ -96,7 +113,7 @@ func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiS
 		if err != nil {
 			return nil, err
 		}
-		var lanes []sim.Lane
+		var results []*sim.Result
 		for _, k := range cfg.Ks {
 			for _, alloc := range allocs {
 				rack, err := multistack.Uniform(fuelcell.PaperSystem(), k, alloc, cfg.DegradedMix)
@@ -110,31 +127,17 @@ func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiS
 				if err != nil {
 					return nil, err
 				}
-				lanes = append(lanes, sim.Lane{Cfg: sim.Config{
+				res, err := sim.RunContext(ctx, sim.Config{
 					Sys:    sys,
 					Dev:    device.Synthetic(),
 					Store:  store,
 					Trace:  trace,
 					Policy: policy.NewASAP(sys),
-				}})
-			}
-		}
-		results := make([]*sim.Result, len(lanes))
-		for start := 0; start < len(lanes); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(lanes))
-			b, err := sim.NewBatchRunner(lanes[start:end])
-			if err != nil {
-				return nil, fmt.Errorf("exp: multistack: %w", err)
-			}
-			out, err := b.RunContext(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("exp: multistack: %w", err)
-			}
-			for j, lr := range out {
-				if lr.Err != nil {
-					return nil, fmt.Errorf("exp: multistack lane %d: %w", start+j, lr.Err)
+				})
+				if err != nil {
+					return nil, fmt.Errorf("exp: multistack K=%d %s: %w", k, alloc.Name(), err)
 				}
-				results[start+j] = lr.Res
+				results = append(results, res)
 			}
 		}
 		for ki, k := range cfg.Ks {

@@ -229,7 +229,9 @@ func Objective(sys *fuelcell.System, s Slot, ifi, ifa float64) float64 {
 // over IF,i with IF,a eliminated through the charge-balance constraint and
 // both currents clamped to range. It ignores the storage-capacity
 // constraint (supply cmax = +Inf situations) and exists to validate the
-// closed form; production code should call Optimize.
+// closed form; production code should call Optimize. It is the reference
+// TestAgainstNumericOptimizer and TestOverheadAgainstNumericOptimizer
+// check Optimize against, as docs/THEORY.md describes.
 func NumericOptimize(sys *fuelcell.System, s Slot) (ifi, ifa, fuel float64) {
 	taEff, activeCharge := s.demand()
 	if s.Ti == 0 || taEff == 0 {

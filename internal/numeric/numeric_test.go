@@ -233,14 +233,6 @@ func TestTableErrors(t *testing.T) {
 	}
 }
 
-func TestTableArgMax(t *testing.T) {
-	tab := MustTable([]float64{0, 1, 2, 3}, []float64{1, 5, 20, 3})
-	x, y := tab.ArgMax()
-	if x != 2 || y != 20 {
-		t.Fatalf("ArgMax = (%v,%v), want (2,20)", x, y)
-	}
-}
-
 func TestTableDomainAndKnots(t *testing.T) {
 	tab := MustTable([]float64{0.1, 1.2}, []float64{1, 2})
 	lo, hi := tab.Domain()
@@ -348,9 +340,6 @@ func TestHistogram(t *testing.T) {
 	if lo != 1 || hi != 2 {
 		t.Fatalf("bin 1 range [%v, %v)", lo, hi)
 	}
-	if f := h.Fraction(0); math.Abs(f-1.0/3) > 1e-12 {
-		t.Fatalf("fraction = %v", f)
-	}
 	out := h.Render(12)
 	if !strings.Contains(out, "#") {
 		t.Fatalf("render missing bars:\n%s", out)
@@ -364,9 +353,6 @@ func TestHistogramEmpty(t *testing.T) {
 	h, err := NewHistogram(nil, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if h.Fraction(0) != 0 {
-		t.Fatal("empty fraction")
 	}
 	if out := h.Render(10); strings.Contains(out, "#") {
 		t.Fatal("empty histogram drew bars")

@@ -33,8 +33,9 @@ func NewTable(xs, ys []float64) (*Table, error) {
 	return t, nil
 }
 
-// MustTable is NewTable that panics on error; for package-level curve
-// literals whose validity is a compile-time fact.
+// MustTable is NewTable that panics on error; for table literals whose
+// validity is a compile-time fact. The numeric and fuelcell tests build
+// their fixture tables with it.
 func MustTable(xs, ys []float64) *Table {
 	t, err := NewTable(xs, ys)
 	if err != nil {
@@ -68,16 +69,3 @@ func (t *Table) Len() int { return len(t.xs) }
 
 // Knot returns the i-th (x, y) pair.
 func (t *Table) Knot(i int) (x, y float64) { return t.xs[i], t.ys[i] }
-
-// ArgMax returns the abscissa and value of the maximum table knot. Because
-// the table is piecewise linear, the maximum over the domain is attained at
-// a knot.
-func (t *Table) ArgMax() (x, y float64) {
-	x, y = t.xs[0], t.ys[0]
-	for i := 1; i < len(t.xs); i++ {
-		if t.ys[i] > y {
-			x, y = t.xs[i], t.ys[i]
-		}
-	}
-	return x, y
-}

@@ -181,28 +181,37 @@ func Suite(short bool) ([]Benchmark, error) {
 // batchRunner builds the k-lane regression batch over the camcorder
 // trace: eight distinct dynamics (Conv, ASAP, FC-DPM, quantized FC-DPM
 // at five level counts) replicated round-robin, warmed up once so the
-// gated repetitions measure the zero-allocation steady state.
+// gated repetitions measure the zero-allocation steady state. Each lane
+// is keyed by its variant label, so k lanes execute as min(k, 8)
+// distinct groups: batch-slot-throughput-k{1,8,64} run 1, 8 and 64 lanes
+// over 1, 8 and 8 groups.
 func batchRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, k int) (*sim.BatchRunner, error) {
-	quant := func(n int) (sim.Policy, error) {
-		return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
+	quant := func(n int) func() (sim.Policy, error) {
+		return func() (sim.Policy, error) {
+			return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
+		}
 	}
-	variants := []func() (sim.Policy, error){
-		func() (sim.Policy, error) { return policy.NewConv(sys), nil },
-		func() (sim.Policy, error) { return policy.NewASAP(sys), nil },
-		func() (sim.Policy, error) { return policy.NewFCDPM(sys, dev), nil },
-		func() (sim.Policy, error) { return quant(3) },
-		func() (sim.Policy, error) { return quant(4) },
-		func() (sim.Policy, error) { return quant(6) },
-		func() (sim.Policy, error) { return quant(8) },
-		func() (sim.Policy, error) { return quant(12) },
+	variants := []struct {
+		label string
+		mk    func() (sim.Policy, error)
+	}{
+		{"conv", func() (sim.Policy, error) { return policy.NewConv(sys), nil }},
+		{"asap", func() (sim.Policy, error) { return policy.NewASAP(sys), nil }},
+		{"fcdpm", func() (sim.Policy, error) { return policy.NewFCDPM(sys, dev), nil }},
+		{"quant-3", quant(3)},
+		{"quant-4", quant(4)},
+		{"quant-6", quant(6)},
+		{"quant-8", quant(8)},
+		{"quant-12", quant(12)},
 	}
 	lanes := make([]sim.Lane, k)
 	for i := range lanes {
-		p, err := variants[i%len(variants)]()
+		v := variants[i%len(variants)]
+		p, err := v.mk()
 		if err != nil {
 			return nil, err
 		}
-		lanes[i] = sim.Lane{Cfg: sim.Config{
+		lanes[i] = sim.Lane{Key: v.label, Cfg: sim.Config{
 			Sys: sys, Dev: dev, Store: storage.MustSuperCap(6, 1),
 			Trace: trace, Policy: p, Record: sim.RecordFuelOnly,
 		}}

@@ -169,10 +169,6 @@ type Report[R any] struct {
 	Done, Resumed, Failed, Shed, BreakerSkipped, Interrupted int
 }
 
-// Resumable reports whether re-invoking the batch would make progress:
-// something was interrupted or skipped by an open breaker.
-func (r *Report[R]) Resumable() bool { return r.Interrupted > 0 }
-
 // FirstError returns the first failed outcome's error, or nil.
 func (r *Report[R]) FirstError() error {
 	for i := range r.Outcomes {

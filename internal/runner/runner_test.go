@@ -336,9 +336,6 @@ func TestInterruptMarksRemaining(t *testing.T) {
 	if rep.Done != 1 || rep.Interrupted != 2 {
 		t.Fatalf("report = %+v, want 1 done 2 interrupted", rep)
 	}
-	if !rep.Resumable() {
-		t.Error("interrupted report should be resumable")
-	}
 }
 
 func TestJournalResume(t *testing.T) {

@@ -4,32 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 	"time"
 
 	"fcdpm/internal/obs"
 	"fcdpm/internal/workload"
 )
-
-// BatchKeyer is the optional grouping face of a policy, predictor, or
-// storage element. BatchKey returns a stable identity string: two
-// components may return equal keys only if they start every run in
-// identical states and evolve identically under identical inputs, so two
-// batch lanes whose components all agree are guaranteed to produce
-// bit-identical simulations. Components without a BatchKey still run in a
-// batch — each such lane simply executes on its own, ungrouped.
-type BatchKeyer interface {
-	BatchKey() string
-}
-
-// TimeoutAdapterCloner is the optional cloning face of a TimeoutAdapter:
-// CloneTimeoutAdapter returns an independent adapter with identical
-// learned state, so each lane of a batched timeout study can own its
-// adaptation instead of forcing the whole sweep serial.
-type TimeoutAdapterCloner interface {
-	CloneTimeoutAdapter() TimeoutAdapter
-}
 
 // Lane is one scenario variant of a batch.
 type Lane struct {
@@ -38,10 +17,10 @@ type Lane struct {
 	Cfg Config
 	// Key, when non-empty, asserts that two lanes with equal keys
 	// describe the *same simulation* — typically the content address a
-	// scenario spec already carries (config.Scenario.CacheKey). Equal
-	// keys group lanes even when their components expose no BatchKey;
-	// an incorrect assertion yields silently wrong results, so only
-	// derive keys from canonical spec content.
+	// scenario spec already carries (config.Scenario.CacheKey). It is
+	// the only grouping rule: a lane without a key runs alone. An
+	// incorrect assertion yields silently wrong results, so only derive
+	// keys from canonical spec content.
 	Key string
 }
 
@@ -69,15 +48,15 @@ type batchGroup struct {
 	members []int // lane indices, in submission order
 }
 
-// BatchRunner executes K scenario variants over one trace. Lanes whose
-// dynamics fingerprints agree (or whose Lane.Keys are equal) form a run
-// group: the group simulates once — at the union of the members' record
-// levels — and every member receives a projected copy of the result, so
-// N identical-dynamics variants (ablation siblings differing only in
-// recording, coalesced server requests, devicesim fleets) cost one
-// simulation instead of N. Distinct groups run one after another on the
-// scalar path, in first-member order, so every lane's Result is
-// byte-identical to a sequential Runner run of the same configuration.
+// BatchRunner executes K scenario variants over one trace. Lanes with
+// equal non-empty Lane.Keys form a run group: the group simulates once —
+// at the union of the members' record levels — and every member receives
+// a projected copy of the result, so N lanes asserting the same
+// simulation (coalesced server requests, duplicate sweep cells) cost one
+// simulation instead of N; an unkeyed lane is a group of its own.
+// Distinct groups run one after another on the scalar path, in
+// first-member order, so every lane's Result is byte-identical to a
+// sequential Runner run of the same configuration.
 //
 // Like Runner, a BatchRunner is reusable and not safe for concurrent
 // use; steady-state Run calls on fault-free lanes allocate nothing.
@@ -119,17 +98,11 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		results: make([]LaneResult, len(lanes)),
 	}
 
-	// Group lanes by dynamics fingerprint. An empty fingerprint means
-	// "ungroupable": the lane gets a singleton group.
+	// Group lanes by Key; an unkeyed lane gets a singleton group.
 	groupOf := make(map[string]int, len(lanes))
 	for i := range lanes {
 		cfg := &lanes[i].Cfg
 		key := lanes[i].Key
-		if key != "" {
-			key = "lane-key:" + key
-		} else {
-			key = dynamicsKey(cfg)
-		}
 		gi, ok := groupOf[key]
 		if !ok {
 			gi = len(b.groups)
@@ -259,75 +232,4 @@ func sameTrace(a, b *workload.Trace) bool {
 		}
 	}
 	return true
-}
-
-// fpBits formats a float for a fingerprint: exact bits, so two lanes
-// group only when the values are identical, not merely close.
-func fpBits(v float64) uint64 { return math.Float64bits(v) }
-
-// keyOf returns a component's grouping identity: "-" for absent, its
-// BatchKey when it has one, and failure otherwise.
-func keyOf(v any) (string, bool) {
-	if v == nil {
-		return "-", true
-	}
-	if k, ok := v.(BatchKeyer); ok {
-		return k.BatchKey(), true
-	}
-	return "", false
-}
-
-// dynamicsKey fingerprints everything that shapes a lane's dynamics —
-// and deliberately nothing that only shapes its recording (Record,
-// RecordProfile, RecordSlots, Metrics), since recording appends history
-// without feeding back into the simulation. Two lanes with equal keys
-// run bit-identical simulations; a lane whose components cannot be
-// keyed gets "" and executes ungrouped. Fault schedules are compared by
-// identity (plus seed): conservative, but sound.
-func dynamicsKey(cfg *Config) string {
-	if cfg.TimeoutAdapter != nil {
-		// A timeout adapter learns per lane; such lanes never group.
-		return ""
-	}
-	pol, ok := keyOf(cfg.Policy)
-	if !ok {
-		return ""
-	}
-	sto, ok := keyOf(cfg.Store)
-	if !ok {
-		return ""
-	}
-	pi, ok := keyOf(cfg.IdlePredictor)
-	if !ok {
-		return ""
-	}
-	pa, ok := keyOf(cfg.ActivePredictor)
-	if !ok {
-		return ""
-	}
-	pc, ok := keyOf(cfg.CurrentPredictor)
-	if !ok {
-		return ""
-	}
-	var fb strings.Builder
-	for _, p := range cfg.Fallbacks {
-		k, ok := keyOf(p)
-		if !ok {
-			return ""
-		}
-		fb.WriteString(k)
-		fb.WriteByte(';')
-	}
-	faults := "-"
-	if cfg.Faults != nil {
-		faults = fmt.Sprintf("%p/%d", cfg.Faults, cfg.FaultSeed)
-	}
-	// The system is fingerprinted by content, not pointer: distinct
-	// instances with identical parameters (e.g. per-lane multistack racks
-	// built from the same stack mix) still group.
-	return fmt.Sprintf("sys=%s|dev=%p|pol=%s|sto=%s|dpm=%d|to=%x|slew=%x|pi=%s|pa=%s|pc=%s|faults=%s|sup=%d/%x/%x|fb=%s",
-		cfg.Sys.BatchKey(), cfg.Dev, pol, sto, cfg.DPM, fpBits(cfg.Timeout), fpBits(cfg.SlewRate),
-		pi, pa, pc, faults,
-		cfg.Supervisor.Mode, fpBits(cfg.Supervisor.DeficitLimit), fpBits(cfg.Supervisor.Tolerance),
-		fb.String())
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,7 +25,7 @@ import (
 // byte-identical to a sequential sim.Runner run of the same Config —
 // whatever mix of policies, predictors, record levels, DPM modes, and
 // fault schedules the lanes carry. These tests drive that contract
-// directly; the grouping machinery is only allowed to make runs cheaper,
+// directly; grouping lanes by Key is only allowed to make runs cheaper,
 // never different.
 
 // assertResultEqual compares two results field for field with exact
@@ -112,12 +113,22 @@ func labelLane(i int, cfg *sim.Config) string {
 // predictors, DPM mode, record level, slew rate, faults, and fallback
 // chain all vary. Shared pointers (sys, dev, schedules) are the same
 // objects across lanes, exactly as sweep and server consumers build them.
-func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.Model,
+// Dynamics come from dyn and the record level from rec. The lane's Key
+// spells out every dyn draw but not the record level, which shapes only
+// what a run keeps, so lanes drawn alike group as a caller's content key
+// would group them.
+func randomLane(t *testing.T, dyn, rec *rand.Rand, sys *fuelcell.System, dev *device.Model,
 	tr *workload.Trace, scheds []*fault.Schedule) sim.Lane {
 	t.Helper()
 	cfg := sim.Config{Sys: sys, Dev: dev, Trace: tr}
+	var key strings.Builder
+	draw := func(n int) int {
+		v := dyn.Intn(n)
+		fmt.Fprintf(&key, "%d/", v)
+		return v
+	}
 
-	switch rng.Intn(4) {
+	switch draw(4) {
 	case 0:
 		cfg.Policy = policy.NewConv(sys)
 	case 1:
@@ -125,7 +136,7 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 	case 2:
 		cfg.Policy = policy.NewFCDPM(sys, dev)
 	default:
-		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, 4+rng.Intn(3)))
+		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, 4+draw(3)))
 		if err != nil {
 			t.Fatalf("quantized policy: %v", err)
 		}
@@ -133,10 +144,10 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 	}
 
 	caps := []float64{6, 8}
-	cmax := caps[rng.Intn(len(caps))]
+	cmax := caps[draw(len(caps))]
 	cfg.Store = storage.MustSuperCap(cmax, cmax/2)
 
-	switch rng.Intn(3) {
+	switch draw(3) {
 	case 0: // defaults
 	case 1:
 		cfg.IdlePredictor = predict.MustExpAverage(0.5, 4)
@@ -146,7 +157,7 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 		cfg.CurrentPredictor = predict.MustExpAverage(0.3, 1)
 	}
 
-	switch rng.Intn(4) {
+	switch draw(4) {
 	case 0:
 		cfg.DPM = sim.DPMPredictive
 	case 1:
@@ -155,35 +166,37 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 		cfg.DPM = sim.DPMNeverSleep
 	default:
 		cfg.DPM = sim.DPMTimeout
-		if rng.Intn(2) == 0 {
+		if draw(2) == 0 {
 			cfg.Timeout = 1.5
 		}
 	}
 
-	switch rng.Intn(3) {
+	switch rec.Intn(3) {
 	case 0:
 		cfg.Record = sim.RecordFuelOnly
 	case 1:
 		cfg.Record = sim.RecordFull
 	default:
-		cfg.RecordProfile = rng.Intn(2) == 0
-		cfg.RecordSlots = rng.Intn(2) == 0
+		cfg.RecordProfile = rec.Intn(2) == 0
+		cfg.RecordSlots = rec.Intn(2) == 0
 	}
 
-	if rng.Intn(3) == 0 {
+	if draw(3) == 0 {
 		cfg.SlewRate = 2.0
 	}
-	if rng.Intn(3) == 0 {
-		cfg.Faults = scheds[rng.Intn(len(scheds))]
-		cfg.FaultSeed = uint64(17 + rng.Intn(2)*6)
+	if draw(3) == 0 {
+		cfg.Faults = scheds[draw(len(scheds))]
+		cfg.FaultSeed = uint64(17 + draw(2)*6)
 		cfg.Fallbacks = []sim.Policy{policy.NewASAP(sys), policy.NewConv(sys)}
 	}
-	return sim.Lane{Cfg: cfg}
+	return sim.Lane{Key: key.String(), Cfg: cfg}
 }
 
-// TestBatchRunnerOracleProperty is the property test the issue asks for:
-// random variant sets across policies × seeds × record levels × fault
-// schedules, every lane compared byte-for-byte against a sequential run.
+// TestBatchRunnerOracleProperty: random variant sets across policies ×
+// seeds × record levels × fault schedules, every lane compared
+// byte-for-byte against a sequential run, and one executing group per
+// distinct key. Each lane's dynamics come from one of four seeds, so most
+// rounds repeat a draw and exercise the collapse.
 func TestBatchRunnerOracleProperty(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
@@ -202,22 +215,27 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 	for round := 0; round < 12; round++ {
 		rng := rand.New(rand.NewSource(int64(1000 + round)))
 		lanes := make([]sim.Lane, 1+rng.Intn(8))
+		keys := map[string]bool{}
 		for i := range lanes {
-			lanes[i] = randomLane(t, rng, sys, dev, tr, scheds)
+			dyn := rand.New(rand.NewSource(int64(100*round + rng.Intn(4))))
+			lanes[i] = randomLane(t, dyn, rng, sys, dev, tr, scheds)
+			keys[lanes[i].Key] = true
 		}
-		batchOracleCheck(t, lanes)
+		if b := batchOracleCheck(t, lanes); b.Groups() != len(keys) {
+			t.Fatalf("round %d: %d groups for %d distinct keys", round, b.Groups(), len(keys))
+		}
 	}
 }
 
-// TestBatchRunnerGroupsDuplicates verifies identical-dynamics lanes
-// collapse to one executing group regardless of record level, and that
-// distinct dynamics stay apart.
+// TestBatchRunnerGroupsDuplicates verifies equally keyed lanes collapse
+// to one executing group regardless of record level, and that distinct
+// keys stay apart.
 func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
 	tr := faultTrace(60)
 	mk := func(cmax float64, rec sim.RecordLevel) sim.Lane {
-		return sim.Lane{Cfg: sim.Config{
+		return sim.Lane{Key: fmt.Sprint("cap=", cmax), Cfg: sim.Config{
 			Sys: sys, Dev: dev, Trace: tr,
 			Store:  storage.MustSuperCap(cmax, cmax/2),
 			Policy: policy.NewFCDPM(sys, dev),
@@ -249,20 +267,18 @@ func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 	}
 }
 
-// unkeyedPolicy hides the inner policy's BatchKey, modelling a policy
-// the fingerprint cannot identify.
-type unkeyedPolicy struct{ sim.Policy }
-
-// TestBatchRunnerLaneKeyGroups verifies an explicit Lane.Key groups
-// lanes the component fingerprint cannot, and that without it unkeyable
-// lanes fall back to singleton (scalar-path) groups.
+// TestBatchRunnerLaneKeyGroups verifies Lane.Key is the only grouping
+// rule: equal keys group, and identical lanes without a key each run
+// alone — either way every lane matches its sequential run.
 func TestBatchRunnerLaneKeyGroups(t *testing.T) {
 	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(40)
 	mk := func(key string) sim.Lane {
 		return sim.Lane{Key: key, Cfg: sim.Config{
-			Sys: sys, Dev: device.Synthetic(), Trace: faultTrace(40),
+			Sys: sys, Dev: dev, Trace: tr,
 			Store:  storage.MustSuperCap(6, 3),
-			Policy: unkeyedPolicy{policy.NewConv(sys)},
+			Policy: policy.NewConv(sys),
 		}}
 	}
 	keyed := []sim.Lane{mk("cell-abc"), mk("cell-abc")}
@@ -270,73 +286,10 @@ func TestBatchRunnerLaneKeyGroups(t *testing.T) {
 	if b.Groups() != 1 {
 		t.Fatalf("equal lane keys must group: got %d groups", b.Groups())
 	}
-	unkeyed := []sim.Lane{mk(""), mk("")}
+	unkeyed := []sim.Lane{mk(""), mk(""), mk("")}
 	b = batchOracleCheck(t, unkeyed)
-	if b.Groups() != 2 {
-		t.Fatalf("unkeyable lanes must stay singleton: got %d groups", b.Groups())
-	}
-}
-
-// unkeyedPredictor hides the inner predictor's BatchKey.
-type unkeyedPredictor struct{ predict.Predictor }
-
-// fixedAdapter is a TimeoutAdapter that always proposes the same dwell.
-type fixedAdapter struct{ dwell float64 }
-
-func (a *fixedAdapter) NextTimeout() float64 { return a.dwell }
-func (a *fixedAdapter) Observe(float64)      {}
-
-// TestBatchRunnerUngroupableLanes verifies the dynamics fingerprint
-// groups a pair of otherwise identical lanes only when every component
-// is keyable and the fault schedules agree in identity and seed; either
-// way each lane still matches its sequential run.
-func TestBatchRunnerUngroupableLanes(t *testing.T) {
-	sys := fuelcell.PaperSystem()
-	dev := device.Synthetic()
-	tr := faultTrace(60)
-	sched := &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.EfficiencyDegrade, Start: 50, Dur: 60, Magnitude: 0.3},
-	}}
-	base := func() sim.Config {
-		return sim.Config{Sys: sys, Dev: dev, Trace: tr,
-			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev)}
-	}
-	cases := []struct {
-		name       string
-		mod        func(cfg *sim.Config, lane int)
-		wantGroups int
-	}{
-		{"keyable", func(*sim.Config, int) {}, 1},
-		{"timeout-adapter", func(cfg *sim.Config, _ int) {
-			cfg.DPM = sim.DPMTimeout
-			cfg.TimeoutAdapter = &fixedAdapter{dwell: 1.5}
-		}, 2},
-		{"unkeyed-predictor", func(cfg *sim.Config, _ int) {
-			cfg.IdlePredictor = unkeyedPredictor{predict.MustExpAverage(0.5, 4)}
-		}, 2},
-		{"unkeyed-fallback", func(cfg *sim.Config, _ int) {
-			cfg.Fallbacks = []sim.Policy{unkeyedPolicy{policy.NewASAP(sys)}}
-		}, 2},
-		{"same-fault-schedule", func(cfg *sim.Config, _ int) {
-			cfg.Faults, cfg.FaultSeed = sched, 17
-		}, 1},
-		{"fault-seeds-differ", func(cfg *sim.Config, lane int) {
-			cfg.Faults, cfg.FaultSeed = sched, uint64(17+lane)
-		}, 2},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			lanes := make([]sim.Lane, 2)
-			for i := range lanes {
-				cfg := base()
-				c.mod(&cfg, i)
-				lanes[i] = sim.Lane{Cfg: cfg}
-			}
-			b := batchOracleCheck(t, lanes)
-			if b.Groups() != c.wantGroups {
-				t.Fatalf("want %d run groups, got %d", c.wantGroups, b.Groups())
-			}
-		})
+	if b.Groups() != len(unkeyed) {
+		t.Fatalf("unkeyed lanes must run alone: got %d groups for %d lanes", b.Groups(), len(unkeyed))
 	}
 }
 
@@ -379,7 +332,7 @@ func TestBatchRunnerMetrics(t *testing.T) {
 	tr := faultTrace(50)
 	reg := obs.NewRegistry()
 	mk := func(cmax float64, rec sim.RecordLevel) sim.Lane {
-		return sim.Lane{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		return sim.Lane{Key: fmt.Sprint("cap=", cmax), Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(cmax, cmax/2), Policy: policy.NewFCDPM(sys, dev),
 			Record: rec, Metrics: obs.NewSimMetrics(obs.NewRegistry())}}
 	}
@@ -485,7 +438,7 @@ func TestBatchRunnerTraceRules(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
 	mk := func(tr *workload.Trace) sim.Lane {
-		return sim.Lane{Cfg: sim.Config{
+		return sim.Lane{Key: "conv", Cfg: sim.Config{
 			Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewConv(sys),
 		}}
@@ -639,10 +592,10 @@ func TestBatchRunnerReuse(t *testing.T) {
 	dev := device.Synthetic()
 	tr := faultTrace(60)
 	lanes := []sim.Lane{
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		{Key: "fcdpm", Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev),
 			Record: sim.RecordFull}},
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		{Key: "fcdpm", Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev),
 			Record: sim.RecordFuelOnly}},
 	}

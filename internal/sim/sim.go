@@ -175,6 +175,14 @@ type TimeoutAdapter interface {
 	Observe(idle float64)
 }
 
+// TimeoutAdapterCloner is the optional cloning face of a TimeoutAdapter:
+// CloneTimeoutAdapter returns an independent adapter with identical
+// learned state, so each run of a multi-policy study can own its
+// adaptation and every run starts from the same learned state.
+type TimeoutAdapterCloner interface {
+	CloneTimeoutAdapter() TimeoutAdapter
+}
+
 // Config assembles one simulation run.
 type Config struct {
 	Sys    *fuelcell.System

@@ -122,22 +122,6 @@ func TestSuperCapClone(t *testing.T) {
 	}
 }
 
-func TestTimeToFullEmpty(t *testing.T) {
-	s := MustSuperCap(10, 4)
-	if got := TimeToFull(s, 2); got != 3 {
-		t.Errorf("TimeToFull = %v, want 3", got)
-	}
-	if got := TimeToFull(s, 0); !math.IsInf(got, 1) {
-		t.Errorf("TimeToFull at zero current = %v, want +Inf", got)
-	}
-	if got := TimeToEmpty(s, -2); got != 2 {
-		t.Errorf("TimeToEmpty = %v, want 2", got)
-	}
-	if got := TimeToEmpty(s, 1); !math.IsInf(got, 1) {
-		t.Errorf("TimeToEmpty while charging = %v, want +Inf", got)
-	}
-}
-
 // Property: charge conservation — stored + bled + deficit accounts exactly
 // for the applied amp-seconds, and charge stays within [0, Cmax].
 func TestSuperCapConservation(t *testing.T) {

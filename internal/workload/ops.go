@@ -6,34 +6,11 @@ import (
 	"fcdpm/internal/numeric"
 )
 
-// Concat joins traces end to end under a new name.
-func Concat(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	for _, t := range traces {
-		out.Slots = append(out.Slots, t.Slots...)
-	}
-	return out
-}
-
 // Repeat returns the trace tiled n times. n <= 0 yields an empty trace.
 func (t *Trace) Repeat(n int) *Trace {
 	out := &Trace{Name: fmt.Sprintf("%s x%d", t.Name, n)}
 	for k := 0; k < n; k++ {
 		out.Slots = append(out.Slots, t.Slots...)
-	}
-	return out
-}
-
-// ScaleTime returns a copy with all idle and active periods multiplied by
-// factor. It panics on a non-positive factor (a construction error).
-func (t *Trace) ScaleTime(factor float64) *Trace {
-	if factor <= 0 {
-		panic(fmt.Sprintf("workload: non-positive time scale %v", factor))
-	}
-	out := &Trace{Name: fmt.Sprintf("%s (time x%g)", t.Name, factor)}
-	out.Slots = make([]Slot, len(t.Slots))
-	for k, s := range t.Slots {
-		out.Slots[k] = Slot{Idle: s.Idle * factor, Active: s.Active * factor, ActiveCurrent: s.ActiveCurrent}
 	}
 	return out
 }
@@ -67,20 +44,4 @@ func (t *Trace) PerturbIdle(seed uint64, frac float64) (*Trace, error) {
 		out.Slots[k] = Slot{Idle: s.Idle * f, Active: s.Active, ActiveCurrent: s.ActiveCurrent}
 	}
 	return out, nil
-}
-
-// Shuffle returns a copy with the slot order permuted (Fisher–Yates under
-// the given seed). Slot contents are preserved, so aggregate statistics
-// are identical while temporal correlation is destroyed — the knob for
-// testing history-based predictors.
-func (t *Trace) Shuffle(seed uint64) *Trace {
-	rng := numeric.NewRNG(seed)
-	out := &Trace{Name: fmt.Sprintf("%s (shuffled)", t.Name)}
-	out.Slots = make([]Slot, len(t.Slots))
-	copy(out.Slots, t.Slots)
-	for i := len(out.Slots) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		out.Slots[i], out.Slots[j] = out.Slots[j], out.Slots[i]
-	}
-	return out
 }
