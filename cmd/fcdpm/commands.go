@@ -776,7 +776,6 @@ func cmdBatch(ctx context.Context, args []string) error {
 	pf := addPoolFlags(fs, "scenario").addJournal(fs, "scenario")
 	mf := addMetricsFlag(fs)
 	rows := fs.String("rows", "", "write result rows (NDJSON, one runreport body per scenario in operand order) to this file, or - for stdout; byte-identical to the same sweep run remotely")
-	batchN := fs.Int("batch", 1, "lane width for batched execution: scenarios sharing a trace run as lanes of one batched runner, up to N lanes per batch, and identical scenarios simulate once (1 = scalar path)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -795,11 +794,6 @@ func cmdBatch(ctx context.Context, args []string) error {
 	}
 	pf.overlay(fs, spec)
 	engine := version.Engine()
-	if *batchN > 1 {
-		popts := pf.options()
-		popts.Metrics = mf.pool
-		return runBatchGrouped(ctx, scens, paths, *batchN, *rows, engine, mf, popts)
-	}
 	tasks := make([]runner.Task[batchRow], 0, len(paths))
 	for i := range scens {
 		scen := scens[i]
@@ -913,186 +907,6 @@ func writeBatchRows(path string, outcomes []runner.Outcome[batchRow]) error {
 		return err
 	}
 	return cache.AtomicWriteFile(path, buf.Bytes())
-}
-
-// laneRows is one batched chunk's outcome: the operand indices it served
-// and their rows, in lane order. It round-trips through the journal so
-// resumed chunks replay their rows.
-type laneRows struct {
-	Idx  []int      `json:"idx"`
-	Rows []batchRow `json:"rows"`
-}
-
-// runBatchGrouped is the -batch N execution path of cmdBatch: scenarios
-// whose normalized trace specs agree run as lanes of one sim.BatchRunner,
-// in chunks of at most width lanes. Each chunk is one pool task, so
-// -workers/-timeout/-retries/-journal apply per chunk. Rows, their
-// names, and their cache keys are identical to the scalar path —
-// `fcdpm batch -rows` output is byte-identical at any lane width.
-func runBatchGrouped(ctx context.Context, scens []*config.Scenario, paths []string,
-	width int, rows, engine string, mf *metricsFlag, popts runner.Options) error {
-	// Partition operand indices by normalized trace spec, preserving
-	// first-seen order, then chunk each partition to the lane width.
-	byTrace := make(map[string][]int)
-	var traceOrder []string
-	for i, scen := range scens {
-		n, err := scen.Normalized()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", paths[i], err)
-		}
-		tj, err := json.Marshal(n.Trace)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", paths[i], err)
-		}
-		k := string(tj)
-		if _, ok := byTrace[k]; !ok {
-			traceOrder = append(traceOrder, k)
-		}
-		byTrace[k] = append(byTrace[k], i)
-	}
-	var chunks [][]int
-	for _, k := range traceOrder {
-		idxs := byTrace[k]
-		for s := 0; s < len(idxs); s += width {
-			chunks = append(chunks, idxs[s:min(s+width, len(idxs))])
-		}
-	}
-
-	name := func(i int) string {
-		if scens[i].Name != "" {
-			return scens[i].Name
-		}
-		return paths[i]
-	}
-	tasks := make([]runner.Task[laneRows], len(chunks))
-	for ci, chunk := range chunks {
-		chunk := chunk
-		tasks[ci] = runner.Task[laneRows]{
-			ID:       runner.RunID("batch", fmt.Sprintf("chunk=%d", ci)),
-			Scenario: paths[chunk[0]],
-			Run: func(ctx context.Context) (laneRows, error) {
-				lanes := make([]sim.Lane, len(chunk))
-				keys := make([]string, len(chunk))
-				for li, i := range chunk {
-					cfg, err := scens[i].Build()
-					if err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-					}
-					cfg.Metrics = mf.sim
-					key, err := scens[i].CacheKey(engine)
-					if err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-					}
-					keys[li] = key
-					// The cache key is the canonical content address, so
-					// identical cells collapse to one executing lane.
-					lanes[li] = sim.Lane{Cfg: cfg, Key: key}
-				}
-				b, err := sim.NewBatchRunner(lanes)
-				if err != nil {
-					return laneRows{}, err
-				}
-				b.Metrics = mf.batch
-				out, err := b.RunContext(ctx)
-				if err != nil {
-					return laneRows{}, err
-				}
-				lr := laneRows{Idx: chunk}
-				for li, res := range out {
-					i := chunk[li]
-					if res.Err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), res.Err)
-					}
-					row := batchRow{
-						Name: name(i), Policy: res.Res.Policy, Fuel: res.Res.Fuel,
-						AvgRate: res.Res.AvgFuelRate(), Deficit: res.Res.Deficit,
-					}
-					if rows != "" {
-						rowName := scens[i].Name
-						if rowName == "" {
-							rowName = fmt.Sprintf("cell-%04d", i)
-						}
-						if row.Row, err = runreport.Render(rowName, keys[li], engine, res.Res); err != nil {
-							return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-						}
-					}
-					lr.Rows = append(lr.Rows, row)
-				}
-				return lr, nil
-			},
-		}
-	}
-
-	rep, runErr := runner.Run(ctx, popts, tasks)
-	if rep == nil {
-		return runErr
-	}
-	// Scatter chunk outcomes back to operand order.
-	rowOf := make([]*batchRow, len(scens))
-	statusOf := make([]string, len(scens))
-	errOf := make([]error, len(scens))
-	for ci, o := range rep.Outcomes {
-		switch o.Status {
-		case runner.StatusDone, runner.StatusResumed:
-			status := "done"
-			if o.Status == runner.StatusResumed {
-				status = "resumed"
-			}
-			for k, i := range o.Result.Idx {
-				rowOf[i] = &o.Result.Rows[k]
-				statusOf[i] = status
-			}
-		default:
-			for _, i := range chunks[ci] {
-				statusOf[i] = string(o.Status)
-				errOf[i] = o.Err
-			}
-		}
-	}
-	tab := report.NewTable("batch results", "Scenario", "Policy", "Fuel (A-s)", "Avg Ifc (A)", "Deficit (A-s)", "Status")
-	for i := range scens {
-		switch {
-		case rowOf[i] != nil:
-			r := rowOf[i]
-			tab.AddRow(r.Name, r.Policy, fmt.Sprintf("%.1f", r.Fuel),
-				fmt.Sprintf("%.4f", r.AvgRate), fmt.Sprintf("%.3f", r.Deficit), statusOf[i])
-		case errOf[i] != nil:
-			tab.AddRow(paths[i], "ERROR: "+errOf[i].Error(), "", "", "", "failed")
-		default:
-			tab.AddRow(paths[i], "", "", "", "", statusOf[i])
-		}
-	}
-	tabOut := io.Writer(os.Stdout)
-	if rows == "-" {
-		tabOut = os.Stderr
-	}
-	fmt.Fprint(tabOut, tab)
-	if rep.Resumed > 0 || rep.Interrupted > 0 {
-		fmt.Fprintf(tabOut, "\n%d of %d chunks resumed from journal, %d interrupted\n",
-			rep.Resumed, len(rep.Outcomes), rep.Interrupted)
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if err := rep.FirstError(); err != nil {
-		return err
-	}
-	if rows != "" {
-		var buf bytes.Buffer
-		for i := range scens {
-			if rowOf[i] == nil || len(rowOf[i].Row) == 0 {
-				return fmt.Errorf("batch: %s resolved without a rendered row (resumed from a journal written without -rows?); delete the journal and re-run", paths[i])
-			}
-			buf.Write(rowOf[i].Row)
-			buf.WriteByte('\n')
-		}
-		if rows == "-" {
-			_, err := os.Stdout.Write(buf.Bytes())
-			return err
-		}
-		return cache.AtomicWriteFile(rows, buf.Bytes())
-	}
-	return nil
 }
 
 func cmdRobust(ctx context.Context, args []string) error {

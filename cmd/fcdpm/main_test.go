@@ -186,6 +186,10 @@ func TestBatchAndRobust(t *testing.T) {
 	if err := run(context.Background(), []string{"batch", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("batch with missing file should surface the error")
 	}
+	// Every scenario takes the scalar path; there is no lane-width knob.
+	if err := run(context.Background(), []string{"batch", "-batch", "2", a, b}); exitCode(err) != 2 {
+		t.Errorf("batch -batch 2: %v, want a usage error", err)
+	}
 	if err := run(context.Background(), []string{"robust", "-trials", "4"}); err != nil {
 		t.Fatalf("robust: %v", err)
 	}

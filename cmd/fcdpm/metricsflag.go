@@ -17,7 +17,6 @@ type metricsFlag struct {
 	reg     *obs.Registry
 	sim     *obs.SimMetrics
 	pool    *obs.PoolMetrics
-	batch   *obs.BatchMetrics
 }
 
 // addMetricsFlag registers -metrics on fs.
@@ -38,7 +37,6 @@ func (mf *metricsFlag) init() {
 	mf.reg = obs.NewRegistry()
 	mf.sim = obs.NewSimMetrics(mf.reg)
 	mf.pool = obs.NewPoolMetrics(mf.reg)
-	mf.batch = obs.NewBatchMetrics(mf.reg)
 }
 
 // dump writes the summary to stderr when -metrics is on.

@@ -35,6 +35,13 @@ import (
 // memory.
 const maxStacks = 256
 
+// maxTraceDuration bounds trace.duration, seconds. Generation is linear
+// in duration and does not check a context, so one unbounded spec could
+// hold a worker for hundreds of millions of slots past any cancel or
+// deadline. The bound is over 3x the longest trace (3e7 s) any
+// checked-in spec, test or smoke uses.
+const maxTraceDuration = 1e8
+
 // ValidationError pinpoints the scenario field that failed validation.
 type ValidationError struct {
 	Field  string
@@ -329,6 +336,9 @@ func (s *Scenario) Validate() error {
 	}
 	if v := s.Trace.Intensity; v != 0 && (math.IsNaN(v) || math.IsInf(v, 0) || v < 1) {
 		return &ValidationError{Field: "trace.intensity", Detail: fmt.Sprintf("surge intensity %v must be >= 1", v)}
+	}
+	if d := s.Trace.Duration; math.IsNaN(d) || d > maxTraceDuration {
+		return &ValidationError{Field: "trace.duration", Detail: fmt.Sprintf("%v s is not at most %g s", d, maxTraceDuration)}
 	}
 	if s.System.Stacks < 0 {
 		return &ValidationError{Field: "system.stacks", Detail: fmt.Sprintf("negative stack count %d", s.System.Stacks)}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -469,6 +470,7 @@ func TestMultiStackValidation(t *testing.T) {
 		`{"system": {"stacks": 2, "degrade": [0.2, 1.5]}}`:   "system.degrade",
 		`{"system": {"stacks": 2, "degrade": [-0.1]}}`:       "system.degrade",
 		`{"trace": {"kind": "racksurge", "intensity": 0.5}}`: "trace.intensity",
+		`{"trace": {"kind": "synthetic", "duration": 1e10}}`: "trace.duration",
 	}
 	for js, field := range bad {
 		s, err := Load(strings.NewReader(js))
@@ -479,5 +481,39 @@ func TestMultiStackValidation(t *testing.T) {
 		if err := s.Validate(); !errors.As(err, &ve) || ve.Field != field {
 			t.Errorf("Validate(%s): got %v, want *ValidationError on %s", js, err, field)
 		}
+	}
+}
+
+// TestTraceDurationBound pins the trace.duration admission bound at its
+// edges: the bound itself and the largest duration any checked-in spec
+// uses pass, and anything past it or NaN is a typed validation error.
+// Validate never generates the trace, so each case is instant.
+func TestTraceDurationBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    float64
+		ok   bool
+	}{
+		{"largest-in-tree", 3e7, true},
+		{"at-bound", maxTraceDuration, true},
+		{"past-bound", math.Nextafter(maxTraceDuration, math.Inf(1)), false},
+		{"inf", math.Inf(1), false},
+		{"nan", math.NaN(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Load(strings.NewReader(`{"trace": {"kind": "synthetic"}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Trace.Duration = tc.d
+			err = s.Validate()
+			var ve *ValidationError
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("Validate with duration %v: %v", tc.d, err)
+			case !tc.ok && (!errors.As(err, &ve) || ve.Field != "trace.duration"):
+				t.Fatalf("Validate with duration %v: got %v, want *ValidationError on trace.duration", tc.d, err)
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ func TestStateComposition(t *testing.T) {
 	if got := s.StateAt(30); got.DeliveryScale != 1 {
 		t.Fatalf("derate did not clear at end: %+v", got)
 	}
-	if !s.StateAt(29.999).IsNominal() == false {
+	if s.StateAt(29.999) == Nominal() {
 		// 29.999 still inside derate window
 		t.Fatal("expected non-nominal just before boundary")
 	}

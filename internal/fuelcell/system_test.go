@@ -153,22 +153,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
-func TestEfficiencyCurve(t *testing.T) {
-	sys := PaperSystem()
-	pts := sys.EfficiencyCurve(0.1, 1.2, 12)
-	if len(pts) != 12 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].IF != 0.1 || pts[11].IF != 1.2 {
-		t.Errorf("endpoints: %v, %v", pts[0].IF, pts[11].IF)
-	}
-	for k := 1; k < len(pts); k++ {
-		if pts[k].Eta >= pts[k-1].Eta {
-			t.Errorf("efficiency not strictly declining at %d", k)
-		}
-	}
-}
-
 func TestChainEfficiencyShape(t *testing.T) {
 	chain, err := NewChainEfficiency(BCS20W(), NewPWMPFMConverter(12), ProportionalController())
 	if err != nil {
@@ -193,7 +177,7 @@ func TestChainLinearFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alpha, beta := chain.LinearFit(0.1, 1.2, 50)
+	alpha, beta := linearFit(chain, 0.1, 1.2, 50)
 	// The physical chain should reproduce the *form* of the paper's Eq 2:
 	// positive intercept, positive slope of decline, same order of
 	// magnitude as the measured α=0.45, β=0.13.
@@ -203,6 +187,23 @@ func TestChainLinearFit(t *testing.T) {
 	if beta < 0.02 || beta > 0.3 {
 		t.Errorf("fitted beta = %v, outside plausible band", beta)
 	}
+}
+
+// linearFit least-squares-fits ηs ≈ α − β·IF over [lo, hi] at n points,
+// the paper's Eq 2 calibration step applied to the chain model.
+func linearFit(c *ChainEfficiency, lo, hi float64, n int) (alpha, beta float64) {
+	var sx, sy, sxx, sxy float64
+	for k := 0; k < n; k++ {
+		x := lo + (hi-lo)*float64(k)/float64(n-1)
+		y := c.Eta(x)
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
+	}
+	fn := float64(n)
+	slope := (fn*sxy - sx*sy) / (fn*sxx - sx*sx)
+	return (sy - slope*sx) / fn, -slope
 }
 
 func TestChainMaxOutputCoversPaperRange(t *testing.T) {
@@ -248,22 +249,8 @@ func TestConverterEfficiencies(t *testing.T) {
 	if got := pfm.Efficiency(0); got != 1 {
 		t.Errorf("zero-load efficiency = %v, want 1 (moot)", got)
 	}
-	ideal := NewIdealConverter(12)
-	if ideal.Efficiency(10) != 1 {
-		t.Error("ideal converter should be lossless")
-	}
 	if pfm.OutputVoltage() != 12 {
 		t.Error("output voltage not preserved")
-	}
-}
-
-func TestConverterEfficiencyCurve(t *testing.T) {
-	ps, es := ConverterEfficiencyCurve(NewPWMPFMConverter(12), 16, 8)
-	if len(ps) != 8 || len(es) != 8 {
-		t.Fatalf("lengths %d, %d", len(ps), len(es))
-	}
-	if ps[7] != 16 {
-		t.Errorf("last power = %v", ps[7])
 	}
 }
 

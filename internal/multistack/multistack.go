@@ -121,7 +121,8 @@ func (EqualSplit) Allocate(stacks []Stack, iF float64, out []float64) {
 // f_k'(x_k) equals lambda (stacks whose marginal cost at zero already
 // exceeds lambda stay off; stacks saturated below lambda run at their
 // ceiling) — the classic KKT structure of water-filling, valid because
-// each f_k is convex (fuelcell.System.IsConvexFuel).
+// each f_k is convex (TestFuelMapConvex checks the paper's map,
+// TestRackAggregateRange the rack aggregate's).
 type WaterFill struct{}
 
 // Name implements Allocator.

@@ -402,24 +402,6 @@ func (p *Pool[R]) breakerFor(scenario string) *breaker {
 	return b
 }
 
-// BreakerStates snapshots every scenario breaker's current state, keyed
-// by scenario and named as the breaker's String ("closed", "open",
-// "half-open"). Operational surfaces (/v1/stats, worker status pages)
-// report it so an operator sees which scenarios are quarantined right
-// now, not just how often transitions fired.
-func (p *Pool[R]) BreakerStates() map[string]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.breakers) == 0 {
-		return nil
-	}
-	states := make(map[string]string, len(p.breakers))
-	for scenario, b := range p.breakers {
-		states[scenario] = b.snapshot().String()
-	}
-	return states
-}
-
 // execute runs one task through admission control, the attempt loop, and
 // checkpointing.
 func (p *Pool[R]) execute(it poolItem[R]) {

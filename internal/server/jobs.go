@@ -226,135 +226,102 @@ func (r *registry) counts() (active, retained int) {
 	return active, retained
 }
 
-// taskRef routes a runner.TaskEvent back to its job (and sweep cell).
+// taskRef routes a runner.TaskEvent back to its job and, for a sweep
+// chunk, to the cells the task covers.
 type taskRef struct {
-	job  *job
-	cell int // cell index for sweep tasks; -1 for single runs
-	// batch, when non-nil, marks a batched sweep chunk: one pool task
-	// covering several same-trace cells through sim.BatchRunner.
-	batch *batchRef
+	job   *job
+	cells []int // every cell a sweep chunk resolves; nil for a run job
 }
 
-// laneOutcome is one batched cell's resolution, recorded by the task
-// body and read by the resolve hook.
-type laneOutcome struct {
-	status runner.Status
-	errMsg string
+// errDraining resolves work the pool refused because it is closed.
+var errDraining = errors.New("draining")
+
+// execute is the one scalar execution path, shared by run jobs and
+// sweep chunks: build the sim config, run it under the task context,
+// render the stable report, populate the cache, and replay the audit
+// log into the job's stream (tagged with cell, for a sweep).
+func (s *Server) execute(ctx context.Context, j *job, spec *config.Scenario, key, name, cell string) ([]byte, error) {
+	cfg, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	// The simulator records slots, fuel, memo stats, and wall time into
+	// the shared registry itself.
+	cfg.Metrics = s.metrics.sim
+	res, err := sim.RunContext(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	body, err := runreport.Render(name, key, s.engine, res)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Put(key, body)
+	for _, ev := range res.Events {
+		j.events.append(Event{
+			Kind: "sim", Job: j.id, Cell: cell,
+			T: ev.T, Detail: string(ev.Kind) + ": " + ev.Detail,
+		})
+	}
+	return body, nil
 }
 
-// batchRef carries a batched chunk's cell indices and per-lane outcomes
-// from the task body to onTaskEvent. The outcomes slice is written only
-// by the (single) task goroutine and read only after the pool publishes
-// the task's resolution, so no lock is needed.
-type batchRef struct {
-	cells    []int
-	outcomes []laneOutcome
-}
-
-// runTask builds the pool task body for one scenario: build the sim
-// config, run it under the task context, render the stable report,
-// populate the cache, and replay the audit log into the job's stream.
-func (s *Server) runTask(j *job, ref taskRef, spec *config.Scenario, key, name string) func(context.Context) (struct{}, error) {
+// runTask builds the pool task body for a run job; the job serves the
+// rendered body directly.
+func (s *Server) runTask(j *job, spec *config.Scenario, key, name string) func(context.Context) (struct{}, error) {
 	return func(ctx context.Context) (struct{}, error) {
-		cfg, err := spec.Build()
+		body, err := s.execute(ctx, j, spec, key, name, "")
 		if err != nil {
 			return struct{}{}, err
 		}
-		// The simulator records slots, fuel, memo stats, and wall time
-		// into the shared registry itself.
-		cfg.Metrics = s.metrics.sim
-		res, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return struct{}{}, err
-		}
-		body, err := runreport.Render(name, key, s.engine, res)
-		if err != nil {
-			return struct{}{}, err
-		}
-		s.cache.Put(key, body)
-		for _, ev := range res.Events {
-			j.events.append(Event{
-				Kind: "sim", Job: j.id, Cell: cellName(j, ref.cell),
-				T: ev.T, Detail: string(ev.Kind) + ": " + ev.Detail,
-			})
-		}
-		if ref.cell < 0 {
-			// Cell bytes live in the cache (the sweep report embeds only
-			// per-cell status and content address); single runs serve the
-			// body directly.
-			j.setReport(body)
-		}
+		j.setReport(body)
 		return struct{}{}, nil
 	}
 }
 
-// batchTask builds the pool task body for one batched sweep chunk: all
-// cells share one trace, so they execute as lanes of a single
-// sim.BatchRunner, with each lane keyed by its cell's cache key so
-// identical cells collapse onto one executing lane. Per cell the body
-// mirrors the scalar runTask exactly (render, cache.Put, sim-event
-// replay), and a lane failure resolves only its own cell: the rest of
-// the chunk still lands. Results are byte-identical to the scalar path by the
-// BatchRunner oracle guarantee.
-func (s *Server) batchTask(j *job, ref taskRef, specs []*config.Scenario, keys []string) func(context.Context) (struct{}, error) {
-	br := ref.batch
+// keyCells lists the cache-miss cells of one sweep that share a cache
+// key: the first cell's run serves them all.
+type keyCells []int
+
+// chunkTask builds the pool task body for one sweep chunk. Its distinct
+// keys run one after another, each built only when its turn comes, and
+// each key's cells resolve as soon as that run ends; the cell bytes live
+// in the cache. A failed run resolves only its own cells. Cancellation
+// (deadline, forced drain) ends the task, and the pool's resolution then
+// covers every cell still queued. A retried attempt skips keys an
+// earlier attempt resolved.
+func (s *Server) chunkTask(j *job, chunk []keyCells, specs []*config.Scenario, keys []string) func(context.Context) (struct{}, error) {
 	return func(ctx context.Context) (struct{}, error) {
-		lanes := make([]sim.Lane, len(br.cells))
-		for li, ci := range br.cells {
-			cfg, err := specs[ci].Build()
-			if err != nil {
+		for _, cells := range chunk {
+			if err := ctx.Err(); err != nil {
 				return struct{}{}, err
 			}
-			cfg.Metrics = s.metrics.sim
-			lanes[li] = sim.Lane{Cfg: cfg, Key: keys[ci]}
-		}
-		b, err := sim.NewBatchRunner(lanes)
-		if err != nil {
-			return struct{}{}, err
-		}
-		b.Metrics = s.metrics.batch
-		out, err := b.RunContext(ctx)
-		if err != nil {
-			// Batch-level failure (cancellation): the pool's resolution
-			// status covers every cell.
-			return struct{}{}, err
-		}
-		for li, lr := range out {
-			ci := br.cells[li]
-			name := cellName(j, ci)
-			if lr.Err != nil {
-				br.outcomes[li] = laneOutcome{status: runner.StatusFailed, errMsg: lr.Err.Error()}
+			i := cells[0]
+			name, queued := pendingCell(j, i)
+			if !queued {
 				continue
 			}
-			body, rerr := runreport.Render(name, keys[ci], s.engine, lr.Res)
-			if rerr != nil {
-				br.outcomes[li] = laneOutcome{status: runner.StatusFailed, errMsg: rerr.Error()}
-				continue
+			status, errMsg := runner.StatusDone, ""
+			if _, err := s.execute(ctx, j, specs[i], keys[i], name, name); err != nil {
+				if ctx.Err() != nil {
+					return struct{}{}, err
+				}
+				status, errMsg = runner.StatusFailed, err.Error()
 			}
-			s.cache.Put(keys[ci], body)
-			for _, ev := range lr.Res.Events {
-				j.events.append(Event{
-					Kind: "sim", Job: j.id, Cell: name,
-					T: ev.T, Detail: string(ev.Kind) + ": " + ev.Detail,
-				})
+			for _, c := range cells {
+				s.cellDone(j, c, status, false, errMsg)
 			}
-			br.outcomes[li] = laneOutcome{status: runner.StatusDone}
 		}
 		return struct{}{}, nil
 	}
 }
 
-// cellName returns the cell's display name, or "" for single runs.
-func cellName(j *job, cell int) string {
-	if cell < 0 {
-		return ""
-	}
+// pendingCell returns a sweep cell's name and whether it is still queued.
+func pendingCell(j *job, cell int) (string, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if cell < len(j.cells) {
-		return j.cells[cell].Name
-	}
-	return ""
+	c := j.cells[cell]
+	return c.Name, c.Status == string(jobQueued)
 }
 
 // onTaskEvent is the runner.Options.OnEvent hook: it maps pool lifecycle
@@ -366,57 +333,60 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 		return
 	}
 	ref := v.(taskRef)
-	j := ref.job
 	switch e.Phase {
 	case runner.PhaseStart:
-		j.events.append(Event{
-			Kind: "attempt", Job: j.id, Cell: cellName(j, ref.cell),
-			Attempt: e.Attempt,
-		})
+		ref.job.events.append(Event{Kind: "attempt", Job: ref.job.id, Attempt: e.Attempt})
 	case runner.PhaseResolve:
 		s.taskJobs.Delete(e.ID)
 		s.metrics.inflight.Add(-1)
-		errMsg := ""
-		if e.Err != nil {
-			errMsg = e.Err.Error()
-		}
-		if ref.batch != nil {
-			s.batchResolved(j, ref, e.Status, errMsg)
-			return
-		}
-		if ref.cell >= 0 {
-			s.cellResolved(j, ref.cell, e.Status, errMsg)
-			return
-		}
-		switch e.Status {
-		case runner.StatusDone:
-			j.mu.Lock()
-			body := j.report
-			j.mu.Unlock()
-			s.metrics.runsDone.Inc()
-			j.finish(jobDone, body, "", 200, false)
-		case runner.StatusShed:
-			s.metrics.runsShed.Inc()
-			j.setRetryAfter(shedRetryAfter)
-			j.finish(jobShed, nil, "admission queue full, run shed", 503, false)
-		case runner.StatusBreakerOpen:
-			s.metrics.runsFailed.Inc()
-			j.setRetryAfter(runner.DefaultBreakerCooldown)
-			j.finish(jobFailed, nil, "scenario circuit breaker open", 503, false)
-		case runner.StatusInterrupted:
-			s.metrics.runsFailed.Inc()
-			j.setRetryAfter(drainRetryAfter)
-			j.finish(jobFailed, nil, "run interrupted by shutdown", 503, false)
-		default: // StatusFailed (StatusResumed cannot happen: no journal)
-			s.metrics.runsFailed.Inc()
-			code := 500
-			if clientFault(e.Err) {
-				code = 400
-			}
-			j.finish(jobFailed, nil, errMsg, code, false)
-		}
-		s.reg.complete(j)
+		s.resolve(ref, e.Status, e.Err)
 	}
+}
+
+// resolve settles a task's job once the pool resolves it. A sweep chunk
+// resolves every cell its body left queued with the task's status (shed,
+// interrupted, failed or breaker-open); cells it already resolved keep
+// their outcome. A run job resolves with the status's HTTP mapping.
+func (s *Server) resolve(ref taskRef, status runner.Status, err error) {
+	j := ref.job
+	errMsg := ""
+	if err != nil {
+		errMsg = err.Error()
+	}
+	if ref.cells != nil {
+		for _, c := range ref.cells {
+			s.cellDone(j, c, status, false, errMsg)
+		}
+		return
+	}
+	switch status {
+	case runner.StatusDone:
+		j.mu.Lock()
+		body := j.report
+		j.mu.Unlock()
+		s.metrics.runsDone.Inc()
+		j.finish(jobDone, body, "", 200, false)
+	case runner.StatusShed:
+		s.metrics.runsShed.Inc()
+		j.setRetryAfter(shedRetryAfter)
+		j.finish(jobShed, nil, "admission queue full, run shed", 503, false)
+	case runner.StatusBreakerOpen:
+		s.metrics.runsFailed.Inc()
+		j.setRetryAfter(runner.DefaultBreakerCooldown)
+		j.finish(jobFailed, nil, "scenario circuit breaker open", 503, false)
+	case runner.StatusInterrupted:
+		s.metrics.runsFailed.Inc()
+		j.setRetryAfter(drainRetryAfter)
+		j.finish(jobFailed, nil, "run interrupted by shutdown", 503, false)
+	default: // StatusFailed (StatusResumed cannot happen: no journal)
+		s.metrics.runsFailed.Inc()
+		code := 500
+		if clientFault(err) {
+			code = 400
+		}
+		j.finish(jobFailed, nil, errMsg, code, false)
+	}
+	s.reg.complete(j)
 }
 
 // clientFault reports whether a failed run's cause is a defect in the
@@ -432,37 +402,15 @@ func clientFault(err error) bool {
 	return errors.As(err, &cve) || errors.As(err, &wve) || errors.As(err, &pce)
 }
 
-// batchResolved fans one batched chunk's resolution out to its cells:
-// a completed task resolves each cell with its own lane outcome, while
-// a shed / interrupted / failed task resolves every covered cell with
-// the task's status — the same taxonomy the cells would have seen as
-// individual scalar tasks.
-func (s *Server) batchResolved(j *job, ref taskRef, status runner.Status, errMsg string) {
-	br := ref.batch
-	for li, ci := range br.cells {
-		if status == runner.StatusDone {
-			o := br.outcomes[li]
-			if o.status == "" {
-				o = laneOutcome{status: runner.StatusFailed, errMsg: "lane outcome missing"}
-			}
-			s.cellDone(j, ci, o.status, false, o.errMsg)
-			continue
-		}
-		s.cellDone(j, ci, status, false, errMsg)
-	}
-}
-
-// cellResolved records one sweep cell's resolution and, when it is the
-// last, finalizes the sweep job.
-func (s *Server) cellResolved(j *job, cell int, status runner.Status, errMsg string) {
-	s.cellDone(j, cell, status, false, errMsg)
-}
-
-// cellDone is the single place a sweep cell resolves — from the pool
-// (via cellResolved) or synchronously on a cache hit (cached == true).
+// cellDone is the single place a sweep cell resolves: from its chunk's
+// task body, from the task's pool resolution, or synchronously on a
+// cache hit (cached == true). A cell that is no longer queued keeps its
+// first outcome. The cell event is appended under j.mu, before remaining
+// can reach 0, so the last cell's finalize cannot close the log ahead of
+// it.
 func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, errMsg string) {
 	j.mu.Lock()
-	if cell >= len(j.cells) || j.finished {
+	if cell >= len(j.cells) || j.cells[cell].Status != string(jobQueued) {
 		j.mu.Unlock()
 		return
 	}
@@ -470,7 +418,10 @@ func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, e
 	c.Status = string(status)
 	c.Cached = cached
 	c.Err = errMsg
-	name := c.Name
+	j.events.append(Event{
+		Kind: "cell", Job: j.id, Cell: c.Name,
+		Status: string(status), Cached: cached, Detail: errMsg,
+	})
 	j.remaining--
 	last := j.remaining == 0
 	j.mu.Unlock()
@@ -483,10 +434,6 @@ func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, e
 	default:
 		s.metrics.runsFailed.Inc()
 	}
-	j.events.append(Event{
-		Kind: "cell", Job: j.id, Cell: name,
-		Status: string(status), Cached: cached, Detail: errMsg,
-	})
 	if last {
 		s.finalizeSweep(j)
 	}

@@ -20,7 +20,6 @@ type serverMetrics struct {
 	registry *obs.Registry
 	sim      *obs.SimMetrics
 	pool     *obs.PoolMetrics
-	batch    *obs.BatchMetrics
 
 	runsSubmitted *obs.Counter
 	runsDone      *obs.Counter
@@ -42,12 +41,11 @@ func newServerMetrics(logf func(format string, args ...any)) *serverMetrics {
 		registry:      reg,
 		sim:           obs.NewSimMetrics(reg),
 		pool:          obs.NewPoolMetrics(reg),
-		batch:         obs.NewBatchMetrics(reg),
 		runsSubmitted: reg.Counter("fcdpm_server_runs_submitted_total", "Scenario runs submitted to the pool (cache misses)."),
 		runsDone:      reg.Counter("fcdpm_server_runs_done_total", "Scenario runs that completed."),
 		runsFailed:    reg.Counter("fcdpm_server_runs_failed_total", "Scenario runs that failed or were interrupted."),
 		runsShed:      reg.Counter("fcdpm_server_runs_shed_total", "Scenario runs shed at admission."),
-		runsCoalesced: reg.Counter("fcdpm_server_runs_coalesced_total", "Requests coalesced onto an identical in-flight run."),
+		runsCoalesced: reg.Counter("fcdpm_server_runs_coalesced_total", "Requests and sweep cells coalesced onto an identical run."),
 		inflight:      reg.Gauge("fcdpm_server_inflight_tasks", "Pool tasks submitted and not yet resolved."),
 		latency:       make(map[string]*obs.Histogram),
 	}

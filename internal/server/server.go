@@ -273,7 +273,7 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.runsSubmitted.Inc()
 		j.events.append(Event{Kind: "accepted", Job: j.id, Detail: "key " + key})
-		s.submitRun(j, taskRef{job: j, cell: -1}, spec, key, name)
+		s.submit(taskRef{job: j}, j.id, key, s.runTask(j, spec, key, name))
 	}
 	if isAsync(r) {
 		// Mirror the sync path's X-Fcdpm-Cache taxonomy so async clients
@@ -299,52 +299,37 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	s.writeOutcome(w, j, coalesced)
 }
 
-// submitRun registers the task→job route and hands the pool the work.
+// submit registers the task→job route and hands the pool the work.
 // Shed/interrupted submissions resolve through onTaskEvent; only a
-// closed pool refuses without an event, handled here.
-func (s *Server) submitRun(j *job, ref taskRef, spec *config.Scenario, key, name string) {
-	id := j.id
-	if ref.cell >= 0 {
-		id = fmt.Sprintf("%s/%04d", j.id, ref.cell)
-	}
+// closed pool refuses without an event, resolved here as interrupted.
+func (s *Server) submit(ref taskRef, id, scenario string, run func(context.Context) (struct{}, error)) {
 	s.taskJobs.Store(id, ref)
 	s.metrics.inflight.Add(1)
-	err := s.pool.Submit(runner.Task[struct{}]{
-		ID:       id,
-		Scenario: key,
-		Run:      s.runTask(j, ref, spec, key, name),
-	})
+	err := s.pool.Submit(runner.Task[struct{}]{ID: id, Scenario: scenario, Run: run})
 	if errors.Is(err, runner.ErrClosed) {
 		s.taskJobs.Delete(id)
 		s.metrics.inflight.Add(-1)
-		if ref.cell >= 0 {
-			s.cellDone(j, ref.cell, runner.StatusInterrupted, false, "draining")
-			return
-		}
-		s.metrics.runsFailed.Inc()
-		j.setRetryAfter(drainRetryAfter)
-		j.finish(jobFailed, nil, "draining", 503, false)
-		s.reg.complete(j)
+		s.resolve(ref, runner.StatusInterrupted, errDraining)
 	}
 }
 
-// maxBatchLanes caps how many sweep cells one batched pool task holds:
-// wider same-trace groups split so a single task never monopolizes a
-// worker, and lane widths stay inside the obs.LaneBuckets range.
-const maxBatchLanes = 64
+// maxCellsPerTask caps how many distinct cache keys one sweep pool task
+// runs: wider same-trace groups split so a single task never
+// monopolizes a worker.
+const maxCellsPerTask = 64
 
-// batchChunks partitions cache-miss sweep cells into batch chunks:
-// cells whose normalized trace specs agree share one BatchRunner
-// (value-identical traces batch regardless of spelling), chunked to
-// maxBatchLanes. A cell whose spec fails to normalize falls back to a
-// scalar chunk of its own. First-seen order is preserved both across
-// and within groups, so cell resolution order stays deterministic.
-func batchChunks(specs []*config.Scenario, misses []int) [][]int {
-	byTrace := make(map[string][]int)
+// sweepChunks partitions a sweep's distinct cache-miss keys into pool
+// tasks: keys whose normalized trace specs agree share a task
+// (value-identical traces group regardless of spelling), chunked to
+// maxCellsPerTask keys. A key whose spec fails to normalize gets a task
+// of its own. First-seen order is preserved both across and within
+// groups, so cell resolution order stays deterministic.
+func sweepChunks(specs []*config.Scenario, groups []keyCells) [][]keyCells {
+	byTrace := make(map[string][]keyCells)
 	var order []string
-	for _, i := range misses {
-		k := fmt.Sprintf("cell-%d", i) // fallback: private group
-		if n, err := specs[i].Normalized(); err == nil {
+	for _, g := range groups {
+		k := fmt.Sprintf("cell-%d", g[0]) // fallback: private task
+		if n, err := specs[g[0]].Normalized(); err == nil {
 			if tj, err := json.Marshal(n.Trace); err == nil {
 				k = "trace:" + string(tj)
 			}
@@ -352,41 +337,28 @@ func batchChunks(specs []*config.Scenario, misses []int) [][]int {
 		if _, ok := byTrace[k]; !ok {
 			order = append(order, k)
 		}
-		byTrace[k] = append(byTrace[k], i)
+		byTrace[k] = append(byTrace[k], g)
 	}
-	var chunks [][]int
+	var chunks [][]keyCells
 	for _, k := range order {
-		idxs := byTrace[k]
-		for st := 0; st < len(idxs); st += maxBatchLanes {
-			chunks = append(chunks, idxs[st:min(st+maxBatchLanes, len(idxs))])
+		gs := byTrace[k]
+		for st := 0; st < len(gs); st += maxCellsPerTask {
+			chunks = append(chunks, gs[st:min(st+maxCellsPerTask, len(gs))])
 		}
 	}
 	return chunks
 }
 
-// submitBatch hands the pool one batched sweep chunk. The task is
-// routed like any cell task; on a closed pool every covered cell
-// resolves interrupted, mirroring submitRun's drain path.
-func (s *Server) submitBatch(j *job, cells []int, specs []*config.Scenario, keys []string) {
-	ref := taskRef{job: j, cell: -1, batch: &batchRef{
-		cells:    cells,
-		outcomes: make([]laneOutcome, len(cells)),
-	}}
-	id := fmt.Sprintf("%s/batch-%04d", j.id, cells[0])
-	s.taskJobs.Store(id, ref)
-	s.metrics.inflight.Add(1)
-	err := s.pool.Submit(runner.Task[struct{}]{
-		ID:       id,
-		Scenario: keys[cells[0]],
-		Run:      s.batchTask(j, ref, specs, keys),
-	})
-	if errors.Is(err, runner.ErrClosed) {
-		s.taskJobs.Delete(id)
-		s.metrics.inflight.Add(-1)
-		for _, ci := range cells {
-			s.cellDone(j, ci, runner.StatusInterrupted, false, "draining")
-		}
+// submitChunk hands the pool one sweep chunk as a single task, routed
+// to every cell it covers.
+func (s *Server) submitChunk(j *job, chunk []keyCells, specs []*config.Scenario, keys []string) {
+	var cells []int
+	for _, g := range chunk {
+		cells = append(cells, g...)
 	}
+	first := chunk[0][0]
+	s.submit(taskRef{job: j, cells: cells}, fmt.Sprintf("%s/%04d", j.id, first),
+		keys[first], s.chunkTask(j, chunk, specs, keys))
 }
 
 // writeOutcome renders a resolved run job.
@@ -475,25 +447,26 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		Kind: "accepted", Job: j.id,
 		Detail: fmt.Sprintf("%d cells", len(specs)),
 	})
-	misses := make([]int, 0, len(specs))
+	// Cache misses dedupe by cache key: a duplicate cell attaches to its
+	// key's first miss, resolves with it, and counts as coalesced.
+	var groups []keyCells
+	groupOf := make(map[string]int)
 	for i := range specs {
+		if g, ok := groupOf[keys[i]]; ok {
+			groups[g] = append(groups[g], i)
+			s.metrics.runsCoalesced.Inc()
+			continue
+		}
 		if _, ok := s.cache.Get(keys[i]); ok {
 			s.cellDone(j, i, runner.StatusDone, true, "")
 			continue
 		}
 		s.metrics.runsSubmitted.Inc()
-		misses = append(misses, i)
+		groupOf[keys[i]] = len(groups)
+		groups = append(groups, keyCells{i})
 	}
-	// Cache-miss cells that share a workload trace batch into one
-	// BatchRunner pool task each (coalesced siblings collapse via their
-	// lane keys); a cell with a trace of its own keeps the scalar path.
-	for _, chunk := range batchChunks(specs, misses) {
-		if len(chunk) == 1 {
-			i := chunk[0]
-			s.submitRun(j, taskRef{job: j, cell: i}, specs[i], keys[i], j.cells[i].Name)
-			continue
-		}
-		s.submitBatch(j, chunk, specs, keys)
+	for _, chunk := range sweepChunks(specs, groups) {
+		s.submitChunk(j, chunk, specs, keys)
 	}
 	writeJSON(w, 202, map[string]any{
 		"id": j.id, "cells": len(keys), "status": string(jobQueued),
@@ -576,24 +549,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statsPayload is the /v1/stats document.
 type statsPayload struct {
-	Pool  poolStatsDoc  `json:"pool"`
-	Runs  runStatsDoc   `json:"runs"`
-	Cache cache.Stats   `json:"cache"`
-	Jobs  jobStatsDoc   `json:"jobs"`
-	Perf  perfStatsDoc  `json:"perf"`
-	Batch batchStatsDoc `json:"batch"`
-}
-
-// batchStatsDoc snapshots the batched-execution instruments: how many
-// BatchRunner runs served sweep chunks, how wide they were, and how
-// many slot executions duplicate lanes inherited from their run group
-// instead of simulating (the fcdpm_sim_batch_lanes / _plan_group_hits
-// series /metrics exports).
-type batchStatsDoc struct {
-	Batches       int64   `json:"batches"`
-	LanesTotal    int64   `json:"lanesTotal"`
-	AvgLanes      float64 `json:"avgLanes"`
-	PlanGroupHits int64   `json:"planGroupHits"`
+	Pool  poolStatsDoc `json:"pool"`
+	Runs  runStatsDoc  `json:"runs"`
+	Cache cache.Stats  `json:"cache"`
+	Jobs  jobStatsDoc  `json:"jobs"`
+	Perf  perfStatsDoc `json:"perf"`
 }
 
 // perfStatsDoc aggregates simulation wall time and slot throughput over
@@ -655,22 +615,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache: s.cache.Stats(),
 		Jobs:  jobStatsDoc{Active: active, Retained: retained},
 		Perf:  s.perfStats(),
-		Batch: s.batchStats(),
 	})
-}
-
-// batchStats snapshots the BatchRunner instrument set.
-func (s *Server) batchStats() batchStatsDoc {
-	b := s.metrics.batch
-	doc := batchStatsDoc{
-		Batches:       int64(b.Batches.Value()),
-		LanesTotal:    int64(b.Lanes.Sum()),
-		PlanGroupHits: int64(b.PlanGroupHits.Value()),
-	}
-	if doc.Batches > 0 {
-		doc.AvgLanes = float64(doc.LanesTotal) / float64(doc.Batches)
-	}
-	return doc
 }
 
 // perfStats snapshots the simulation-perf instruments. The loads are

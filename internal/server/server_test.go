@@ -596,31 +596,33 @@ func TestAsyncCacheTag(t *testing.T) {
 	}
 }
 
-// TestSweepBatchesSameTraceCells pins the batched sweep path: cells
-// sharing one trace execute as lanes of a single BatchRunner pool task,
-// duplicate cells collapse onto one executing lane, every cell's cached
-// body is byte-identical to the scalar single-run path, and /v1/stats
-// surfaces the batch instruments.
-func TestSweepBatchesSameTraceCells(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+// TestSweepDedupesAndStreamsEveryCell drives a multi-task sweep over
+// HTTP: two traces × four policies, one duplicate cell and a camcorder
+// singleton spread over two workers. The NDJSON stream carries exactly
+// one cell event per cell before resolved, the duplicate resolves with
+// its key's first cell and counts as coalesced, and every cell's cached
+// body is byte-identical to a fresh server's single-run body.
+func TestSweepDedupesAndStreamsEveryCell(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
 
-	trace := `{"kind":"synthetic","seed":7,"duration":120}`
-	cellSpecs := []string{
-		fmt.Sprintf(`{"name":"fc","trace":%s,"policy":{"kind":"fcdpm"}}`, trace),
-		fmt.Sprintf(`{"name":"cv","trace":%s,"policy":{"kind":"conv"}}`, trace),
-		fmt.Sprintf(`{"name":"as","trace":%s,"policy":{"kind":"asap"}}`, trace),
-		// Exact duplicate of the first cell: same cache key, so its lane
-		// collapses onto the leader and only projects the result.
-		fmt.Sprintf(`{"name":"fc","trace":%s,"policy":{"kind":"fcdpm"}}`, trace),
+	var cellSpecs []string
+	for _, seed := range []int{3, 9} {
+		for _, pol := range []string{"fcdpm", "conv", "asap", "quantized"} {
+			cellSpecs = append(cellSpecs, fmt.Sprintf(
+				`{"name":"%s-%d","trace":{"kind":"synthetic","seed":%d,"duration":120},"policy":{"kind":%q}}`,
+				pol, seed, seed, pol))
+		}
 	}
-	sweep := fmt.Sprintf(`{"name":"batched","scenarios":[%s]}`,
-		strings.Join(cellSpecs, ","))
+	cellSpecs = append(cellSpecs, cellSpecs[0],
+		`{"name":"cam","trace":{"kind":"camcorder","seed":5},"policy":{"kind":"fcdpm"}}`)
+	sweep := fmt.Sprintf(`{"name":"mixed","scenarios":[%s]}`, strings.Join(cellSpecs, ","))
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(sweep))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var acc struct {
-		ID string `json:"id"`
+		ID     string `json:"id"`
+		Events string `json:"events"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		t.Fatal(err)
@@ -630,48 +632,67 @@ func TestSweepBatchesSameTraceCells(t *testing.T) {
 		t.Fatalf("sweep accept: %d", resp.StatusCode)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var sr sweepReport
-		resp := getJSON(t, ts, "/v1/sweeps/"+acc.ID, &sr)
-		if resp.StatusCode == 200 && len(sr.Cells) == 4 {
-			if sr.Done != 4 || sr.Failed != 0 {
-				t.Fatalf("sweep report %+v, want 4 done", sr)
+	// The stream ends at resolved; every cell event must come before it.
+	er, err := http.Get(ts.URL + acc.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer er.Body.Close()
+	var cellEvents int
+	resolved := false
+	sc := bufio.NewScanner(er.Body)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		switch e.Kind {
+		case "cell":
+			if resolved {
+				t.Fatalf("cell event after resolved: %+v", e)
 			}
-			break
+			if e.Status != "done" || e.Cached {
+				t.Fatalf("cell event %+v, want done and not cached", e)
+			}
+			cellEvents++
+		case "resolved":
+			resolved = true
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never finished: %+v", sr)
-		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	if !resolved || cellEvents != len(cellSpecs) {
+		t.Fatalf("stream carried %d cell events (resolved=%v), want %d before resolved",
+			cellEvents, resolved, len(cellSpecs))
 	}
 
-	// Byte-identity oracle: a fresh server runs each cell through the
-	// scalar single-run path; the batched server must serve the very
-	// same bytes from its cache.
-	_, scalar := newTestServer(t, Options{})
+	var sr sweepReport
+	if r := getJSON(t, ts, "/v1/sweeps/"+acc.ID, &sr); r.StatusCode != 200 {
+		t.Fatalf("sweep GET after resolved: %d", r.StatusCode)
+	}
+	if len(sr.Cells) != len(cellSpecs) || sr.Done != len(cellSpecs) || sr.Cached != 0 || sr.Failed != 0 {
+		t.Fatalf("sweep report %+v, want %d done, none cached", sr, len(cellSpecs))
+	}
+
+	// Byte-identity oracle: a fresh server runs each cell as a single
+	// run; the sweep must have cached the very same bytes.
+	_, single := newTestServer(t, Options{})
 	for i, spec := range cellSpecs {
-		rb, batched := postRun(t, ts, spec)
+		rb, swept := postRun(t, ts, spec)
 		if rb.StatusCode != 200 || rb.Header.Get("X-Fcdpm-Cache") != "hit" {
-			t.Fatalf("cell %d not cached by batched sweep: %d %s", i, rb.StatusCode, rb.Header.Get("X-Fcdpm-Cache"))
+			t.Fatalf("cell %d not cached by the sweep: %d %s", i, rb.StatusCode, rb.Header.Get("X-Fcdpm-Cache"))
 		}
-		rs, want := postRun(t, scalar, spec)
+		rs, want := postRun(t, single, spec)
 		if rs.StatusCode != 200 {
-			t.Fatalf("cell %d scalar run: %d %s", i, rs.StatusCode, want)
+			t.Fatalf("cell %d single run: %d %s", i, rs.StatusCode, want)
 		}
-		if !bytes.Equal(batched, want) {
-			t.Fatalf("cell %d batched body diverged from scalar path:\n%s\n!=\n%s", i, batched, want)
+		if !bytes.Equal(swept, want) {
+			t.Fatalf("cell %d swept body diverged from the single-run body:\n%s\n!=\n%s", i, swept, want)
 		}
 	}
 
-	// The batch instruments surfaced in /v1/stats.
 	var st statsPayload
 	getJSON(t, ts, "/v1/stats", &st)
-	if st.Batch.Batches < 1 || st.Batch.LanesTotal < 4 {
-		t.Fatalf("batch stats %+v, want >=1 batch of 4 lanes", st.Batch)
-	}
-	if st.Batch.PlanGroupHits == 0 {
-		t.Fatalf("duplicate cell produced no plan-group hits: %+v", st.Batch)
+	if st.Runs.Coalesced != 1 || st.Runs.Submitted != int64(len(cellSpecs)-1) {
+		t.Fatalf("run stats %+v, want the duplicate coalesced and %d submitted", st.Runs, len(cellSpecs)-1)
 	}
 }
 

@@ -16,59 +16,6 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-func TestScaleCurrent(t *testing.T) {
-	tr := Periodic(2, 10, 4, 1.0)
-	s := tr.ScaleCurrent(1.25)
-	if s.Slots[1].ActiveCurrent != 1.25 {
-		t.Fatalf("scaled current = %v", s.Slots[1].ActiveCurrent)
-	}
-	if s.Slots[1].Idle != 10 {
-		t.Fatal("timing should be unchanged")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative factor accepted")
-		}
-	}()
-	tr.ScaleCurrent(-1)
-}
-
-func TestPerturbIdle(t *testing.T) {
-	tr := Periodic(100, 10, 3, 1)
-	p, err := tr.PerturbIdle(7, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := 0
-	for k, s := range p.Slots {
-		if s.Idle < 8-1e-9 || s.Idle > 12+1e-9 {
-			t.Fatalf("slot %d idle %v outside ±20%%", k, s.Idle)
-		}
-		if s.Idle != 10 {
-			changed++
-		}
-		if s.Active != 3 || s.ActiveCurrent != 1 {
-			t.Fatal("non-idle fields perturbed")
-		}
-	}
-	if changed < 90 {
-		t.Fatalf("only %d slots perturbed", changed)
-	}
-	// Deterministic per seed.
-	p2, _ := tr.PerturbIdle(7, 0.2)
-	for k := range p.Slots {
-		if p.Slots[k] != p2.Slots[k] {
-			t.Fatal("perturbation not deterministic")
-		}
-	}
-	if _, err := tr.PerturbIdle(1, 1.0); err == nil {
-		t.Fatal("frac=1 accepted")
-	}
-	if _, err := tr.PerturbIdle(1, -0.1); err == nil {
-		t.Fatal("negative frac accepted")
-	}
-}
-
 func TestFromEvents(t *testing.T) {
 	events := []Event{
 		{Arrival: 10, Service: 2, Current: 1.0},
